@@ -100,16 +100,7 @@ func BenchmarkSubstOnGame(b *testing.B) { benchkit.SubstOnGame()(b) }
 
 // BenchmarkServiceGame measures one complete 12-slot, 48-user additive
 // pricing period through the plain in-memory service layer.
-func BenchmarkServiceGame(b *testing.B) { benchkit.ServiceGame(false)(b) }
-
-// BenchmarkServiceGameJournaled measures the same period through the
-// durable tier: every accepted mutation checksummed and framed into the
-// bid journal. The pair gate bounds this tax at 4x the plain service.
-func BenchmarkServiceGameJournaled(b *testing.B) { benchkit.ServiceGame(true)(b) }
-
-// BenchmarkIngestThroughput measures concurrent bid intake through the
-// bounded admission queue into a journaled service, retries included.
-func BenchmarkIngestThroughput(b *testing.B) { benchkit.IngestThroughput()(b) }
+func BenchmarkServiceGame(b *testing.B) { benchkit.ServiceGame()(b) }
 
 // BenchmarkShardedIngest1 measures sustained concurrent intake through
 // the sharded durable tier with a single shard — the baseline of the

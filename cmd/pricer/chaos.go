@@ -1,30 +1,24 @@
 package main
 
 // Chaos mode: seeded end-to-end fault sweeps over the durable pricing
-// tier. Each round draws a random workload and a random fault plan,
-// drives concurrent bids through the admission-controlled ingestion
-// front end into a journaled service whose log suffers the planned
-// fault, then recovers from the surviving bytes and asserts the
-// robustness invariants:
+// tier. Each round draws a random workload, a shard count N from
+// {1, 2, 4, 8} (N = 1 is the single-journal tier), and independent
+// per-shard journal fault plans (plus, in half the rounds, a process kill
+// at a random cross-shard write). Concurrent clients drive bids through
+// a ShardedService with a small between-slots batch, blindly retrying
+// overloads; then the surviving journals are recovered together and the
+// robustness invariants checked:
 //
-//   - exact accounting: every submission the clients attempted is
-//     accepted, mechanism-rejected, or ErrOverloaded — never lost — and
-//     the front end's counters agree with the clients' own tallies;
-//   - durability: the journal holds exactly one record per accepted bid;
-//   - determinism: recovering the same journal twice yields identical
+//   - exact per-shard accounting: every submission the clients attempted
+//     is accepted, mechanism-rejected, ErrOverloaded, or turned away
+//     read-only by a wedged shard — never lost — and the shards' counters
+//     agree with the clients' own tallies;
+//   - durability: each journal holds exactly one record per bid its shard
+//     accepted;
+//   - determinism: recovering the same journals twice yields identical
 //     state;
 //   - cost recovery: after settling the recovered period the surplus is
 //     non-negative and every journaled (accepted) bid is invoiced.
-//
-// Every round also runs a sharded sweep over the partitioned durable
-// tier: the same workload shape drives a ShardedService whose N
-// journals suffer independent per-shard faults (plus, in half the
-// rounds, a process kill at a random cross-shard write), then the
-// surviving journals are recovered together and the sharded invariants
-// checked — exact per-shard accounting (clients' observed outcomes,
-// including read-only rejections from wedged shards, against the
-// shards' own counters), per-journal durability, deterministic
-// cross-shard recovery, and full settlement of every journaled bid.
 //
 // Any violation is an error: the command exits non-zero naming the
 // round and seed, which reproduces the schedule exactly.
@@ -52,211 +46,14 @@ func runChaos(seed uint64, rounds int, w io.Writer) error {
 	}
 	for i := 0; i < rounds; i++ {
 		rs := seed + uint64(i)
-		report, err := chaosRound(rs)
+		report, err := shardedChaosRound(rs)
 		if err != nil {
 			return fmt.Errorf("round %d (seed %d): %w", i, rs, err)
 		}
 		fmt.Fprintf(w, "chaos round %d: %s\n", i, report)
-		report, err = shardedChaosRound(rs)
-		if err != nil {
-			return fmt.Errorf("sharded round %d (seed %d): %w", i, rs, err)
-		}
-		fmt.Fprintf(w, "chaos round %d (sharded): %s\n", i, report)
 	}
 	fmt.Fprintf(w, "chaos: %d rounds clean (base seed %d)\n", rounds, seed)
 	return nil
-}
-
-// chaosRound runs one seeded schedule and checks every invariant,
-// returning a one-line report for the log.
-func chaosRound(seed uint64) (string, error) {
-	r := stats.NewRNG(seed)
-	kind := sharedopt.Additive
-	if r.Intn(2) == 1 {
-		kind = sharedopt.Substitutive
-	}
-	catalog := make([]sharedopt.Optimization, 2+r.Intn(2))
-	for i := range catalog {
-		catalog[i] = sharedopt.Optimization{
-			ID:   core.OptID(i + 1),
-			Cost: econ.FromCents(int64(300 + r.Intn(1500))),
-		}
-	}
-	horizon := core.Slot(3 + r.Intn(3))
-	plan := resilience.RandomPlan(seed^0x9e3779b97f4a7c15, 24)
-
-	var m resilience.MemLog
-	fw := resilience.NewFaultWriter(&m, plan)
-	js, err := resilience.NewJournaledService(kind, catalog, horizon, fw)
-	if err != nil {
-		// The config record itself was faulted: the constructor must
-		// refuse, and with nothing durable there is nothing to recover.
-		if plan.Kind != resilience.FaultNone && plan.Record == 0 {
-			return fmt.Sprintf("plan=%v: config write faulted, service refused", plan), nil
-		}
-		return "", fmt.Errorf("constructor failed outside its fault window (plan %v): %v", plan, err)
-	}
-	in := resilience.NewIngest(js, resilience.IngestConfig{
-		Queue:     2,
-		ApplyHook: func() { time.Sleep(100 * time.Microsecond) },
-	})
-	defer in.Close()
-
-	// Clients: per slot, a concurrent burst of submissions (some blindly
-	// retried) against the tiny queue, then one slot advance.
-	var mu sync.Mutex
-	tally := struct{ accepted, rejected, overloaded int }{}
-	nextUser := core.UserID(0)
-	submitBurst := func(now core.Slot, n int) {
-		type job struct {
-			user  core.UserID
-			start core.Slot
-			end   core.Slot
-			vals  []econ.Money
-			opt   core.OptID
-			set   []core.OptID
-			retry bool
-		}
-		jobs := make([]job, n)
-		for i := range jobs {
-			nextUser++
-			start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-			end := start + core.Slot(r.Intn(int(horizon-start)+1))
-			vals := make([]econ.Money, int(end-start+1))
-			for k := range vals {
-				vals[k] = econ.FromCents(int64(r.Intn(900)))
-			}
-			jobs[i] = job{
-				user: nextUser, start: start, end: end, vals: vals,
-				opt:   catalog[r.Intn(len(catalog))].ID,
-				set:   []core.OptID{catalog[r.Intn(len(catalog))].ID},
-				retry: r.Intn(3) == 0,
-			}
-		}
-		var wg sync.WaitGroup
-		for _, j := range jobs {
-			wg.Add(1)
-			go func(j job) {
-				defer wg.Done()
-				op := func() error {
-					if kind == sharedopt.Additive {
-						return in.SubmitAdditive(j.opt, core.OnlineBid{
-							User: j.user, Start: j.start, End: j.end, Values: j.vals,
-						})
-					}
-					return in.SubmitSubstitutive(core.OnlineSubstBid{
-						User: j.user, Opts: j.set, Start: j.start, End: j.end, Values: j.vals,
-					})
-				}
-				var err error
-				if j.retry {
-					err = resilience.Retry(context.Background(), resilience.Backoff{
-						Attempts: 4, Base: 200 * time.Microsecond, Cap: time.Millisecond,
-					}, op)
-				} else {
-					err = op()
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil:
-					tally.accepted++
-				case errors.Is(err, resilience.ErrOverloaded):
-					tally.overloaded++
-				default:
-					tally.rejected++
-				}
-			}(j)
-		}
-		wg.Wait()
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for now := core.Slot(0); now < horizon; now++ {
-		submitBurst(now, 4+r.Intn(8))
-		if _, err := in.AdvanceSlot(ctx); err != nil {
-			// The advance that hits the fault surfaces the injected error
-			// itself; later calls report ErrJournalBroken. Either way the
-			// service is wedged: stop driving and go recover.
-			if js.Broken() != nil {
-				break
-			}
-			return "", fmt.Errorf("advance at slot %d: %v", now, err)
-		}
-	}
-	in.Close()
-
-	// Invariant: exact accounting. Client-observed outcomes must match
-	// the front end's counters; retried overloads are counted once per
-	// final outcome on both sides... except that a retry which
-	// eventually lands also bounced off the queue first, so Overloaded
-	// may exceed the clients' final-outcome tally but never undercount.
-	st := in.Stats()
-	if got, want := st.Accepted, uint64(tally.accepted); got != want {
-		return "", fmt.Errorf("accepted counter %d != client tally %d", got, want)
-	}
-	if st.Overloaded < uint64(tally.overloaded) {
-		return "", fmt.Errorf("overloaded counter %d < client tally %d", st.Overloaded, tally.overloaded)
-	}
-	if got, want := st.Rejected, uint64(tally.rejected); got != want {
-		return "", fmt.Errorf("rejected counter %d != client tally %d", got, want)
-	}
-	if total := tally.accepted + tally.rejected + tally.overloaded; total != int(nextUser) {
-		return "", fmt.Errorf("accounting leak: %d outcomes for %d submissions", total, nextUser)
-	}
-
-	// Invariant: durability. The surviving journal holds exactly one bid
-	// record per accepted submission: a submit acknowledges success only
-	// after its record is durably framed, and a record torn by the fault
-	// was reported to its caller as a failure, not an accept.
-	recs, _, torn := resilience.ReadJournal(m.Bytes())
-	bidRecords := 0
-	for _, rec := range recs {
-		if rec.Kind == resilience.KindAdditiveBid || rec.Kind == resilience.KindSubstBid {
-			bidRecords++
-		}
-	}
-	if bidRecords != tally.accepted {
-		return "", fmt.Errorf("journal holds %d bid records for %d accepted bids", bidRecords, tally.accepted)
-	}
-
-	// Invariant: deterministic recovery.
-	rec1, err := resilience.RecoverService(recs, io.Discard)
-	if err != nil {
-		return "", fmt.Errorf("recovery: %v", err)
-	}
-	rec2, err := resilience.RecoverService(recs, io.Discard)
-	if err != nil {
-		return "", fmt.Errorf("second recovery: %v", err)
-	}
-	s1, s2 := chaosSnapshot(rec1), chaosSnapshot(rec2)
-	if s1 != s2 {
-		return "", fmt.Errorf("recovery is nondeterministic:\n%s\nvs\n%s", s1, s2)
-	}
-
-	// Invariant: cost recovery. Settle the recovered period; the surplus
-	// must be non-negative and every journaled bid invoiced.
-	if !rec1.Closed() {
-		if _, err := rec1.ClosePeriod(); err != nil {
-			return "", fmt.Errorf("settling recovered period: %v", err)
-		}
-	}
-	if s := rec1.Surplus(); s < 0 {
-		return "", fmt.Errorf("negative settled surplus %v", s)
-	}
-	inv := rec1.Invoices()
-	for _, rec := range recs {
-		if rec.Kind != resilience.KindAdditiveBid && rec.Kind != resilience.KindSubstBid {
-			continue
-		}
-		if _, ok := inv[rec.User]; !ok {
-			return "", fmt.Errorf("accepted bid of user %d left unpriced", rec.User)
-		}
-	}
-
-	return fmt.Sprintf("kind=%v plan=%v bids=%d accepted=%d rejected=%d overloaded=%d torn=%v records=%d surplus=%v",
-		kind, plan, nextUser, tally.accepted, tally.rejected, tally.overloaded, torn, len(recs), rec1.Surplus()), nil
 }
 
 // shardedChaosRound runs one seeded schedule against the sharded
@@ -278,7 +75,7 @@ func shardedChaosRound(seed uint64) (string, error) {
 		}
 	}
 	horizon := core.Slot(3 + r.Intn(3))
-	shards := []int{2, 4, 8}[r.Intn(3)]
+	shards := []int{1, 2, 4, 8}[r.Intn(4)]
 	plans := resilience.RandomShardPlans(seed^0x517cc1b727220a95, shards, 16)
 	group := resilience.NewCrashGroup()
 	killAt := -1
@@ -489,13 +286,13 @@ func shardedChaosRound(seed uint64) (string, error) {
 		}
 	}
 
-	return fmt.Sprintf("kind=%v shards=%d killAt=%d bids=%d accepted=%d rejected=%d overloaded=%d readonly=%d wedged=%v surplus=%v",
-		kind, shards, killAt, nextUser, tally.accepted, tally.rejected, tally.overloaded, tally.readonly,
+	return fmt.Sprintf("kind=%v shards=%d plan=%v killAt=%d bids=%d accepted=%d rejected=%d overloaded=%d readonly=%d wedged=%v surplus=%v",
+		kind, shards, plans, killAt, nextUser, tally.accepted, tally.rejected, tally.overloaded, tally.readonly,
 		ss.WedgedShards(), rec1.Surplus()), nil
 }
 
-// chaosState is the read surface both durable tiers expose for the
-// determinism comparison.
+// chaosState is the read surface of a recovered tier the determinism
+// comparison renders.
 type chaosState interface {
 	Now() core.Slot
 	Closed() bool

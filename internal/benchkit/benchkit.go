@@ -346,9 +346,7 @@ func Key() []struct {
 		{"Shapley100k", Shapley(100_000)},
 		{"AddOnGame", AddOnGame()},
 		{"SubstOnGame", SubstOnGame()},
-		{"ServiceGame", ServiceGame(false)},
-		{"ServiceGameJournaled", ServiceGame(true)},
-		{"IngestThroughput", IngestThroughput()},
+		{"ServiceGame", ServiceGame()},
 		{"ShardedIngest1", ShardedIngestThroughput(1)},
 		{"ShardedIngest4", ShardedIngestThroughput(4)},
 		{"ShardedIngest4Obs", ShardedIngestInstrumented(4)},
@@ -561,21 +559,6 @@ func Pairs() []Pair {
 			MinSpeedup:        0.50,
 			RelaxedMinSpeedup: 0.02,
 			NeedProcs:         4,
-		},
-		{
-			// Durability tax bound: the journaled service (checksummed
-			// framing + fingerprint dedup on every mutation, in-memory
-			// log) must stay within 4x of the plain service — i.e. the
-			// candidate (journaled) runs at ≥0.25x the baseline's speed.
-			// Measured ~2-3x locally; the slack absorbs allocator noise.
-			// Single-threaded by construction, so the bound holds on any
-			// runner.
-			Name:              "ServiceGame/journaled-vs-plain",
-			Baseline:          ServiceGame(false),
-			Candidate:         ServiceGame(true),
-			MinSpeedup:        0.25,
-			RelaxedMinSpeedup: 0.25,
-			NeedProcs:         1,
 		},
 		{
 			Name:              "AstroWorkload/parallel4-vs-serial",

@@ -18,10 +18,9 @@ import (
 	"sharedopt/internal/stats"
 )
 
-// serviceBids draws the fixed workload both ServiceGame variants price:
-// one bid per user over a 12-slot horizon against a 4-optimization
-// catalog, identical across runs so the journaled/unjournaled pair
-// measures journaling, not workload noise.
+// serviceBids draws the fixed workload ServiceGame prices: one bid per
+// user over a 12-slot horizon against a 4-optimization catalog,
+// identical across runs.
 type serviceBid struct {
 	user   core.UserID
 	opt    core.OptID
@@ -55,107 +54,30 @@ func serviceBids(users int, horizon core.Slot) ([]sharedopt.Optimization, []serv
 }
 
 // ServiceGame returns the benchmark body for one complete 12-slot,
-// 48-user additive pricing period through the service layer. journaled
-// selects the durable tier (every mutation checksummed and framed into
-// an in-memory log) versus the plain in-memory service; the pair gate
-// bounds how much the journal may cost.
-func ServiceGame(journaled bool) func(b *testing.B) {
+// 48-user additive pricing period through the plain in-memory service
+// layer.
+func ServiceGame() func(b *testing.B) {
 	return func(b *testing.B) {
 		const users, horizon = 48, core.Slot(12)
 		catalog, bids := serviceBids(users, horizon)
-		submitAll := func(submit func(core.OptID, core.OnlineBid) error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			svc, err := sharedopt.NewAdditiveService(catalog, horizon)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, bid := range bids {
-				if err := submit(bid.opt, core.OnlineBid{
+				if err := svc.SubmitAdditiveBid(bid.opt, core.OnlineBid{
 					User: bid.user, Start: bid.start, End: bid.end, Values: bid.values,
 				}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if journaled {
-				var m resilience.MemLog
-				js, err := resilience.NewJournaledService(sharedopt.Additive, catalog, horizon, &m)
-				if err != nil {
+			for t := core.Slot(0); t < horizon; t++ {
+				if _, err := svc.AdvanceSlot(); err != nil {
 					b.Fatal(err)
 				}
-				submitAll(js.SubmitAdditiveBid)
-				for t := core.Slot(0); t < horizon; t++ {
-					if _, err := js.AdvanceSlot(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			} else {
-				svc, err := sharedopt.NewAdditiveService(catalog, horizon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				submitAll(svc.SubmitAdditiveBid)
-				for t := core.Slot(0); t < horizon; t++ {
-					if _, err := svc.AdvanceSlot(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-}
-
-// IngestThroughput returns the benchmark body for concurrent bid intake:
-// GOMAXPROCS submitters push 256 single-slot bids through the bounded
-// queue into a journaled service, blind-retrying on ErrOverloaded, so
-// the measurement covers admission control, the serialize-and-journal
-// path, and the retry contract end to end.
-func IngestThroughput() func(b *testing.B) {
-	return func(b *testing.B) {
-		const total, horizon = 256, core.Slot(4)
-		catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(50)}}
-		workers := runtime.GOMAXPROCS(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var m resilience.MemLog
-			js, err := resilience.NewJournaledService(sharedopt.Additive, catalog, horizon, &m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := resilience.NewIngest(js, resilience.IngestConfig{Queue: 32})
-			var next core.UserID
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						mu.Lock()
-						next++
-						u := next
-						mu.Unlock()
-						if u > total {
-							return
-						}
-						err := in.SubmitAdditive(1, core.OnlineBid{
-							User: u, Start: 1, End: 1, Values: []econ.Money{econ.Dollar},
-						})
-						for resilience.Retryable(err) {
-							err = in.SubmitAdditive(1, core.OnlineBid{
-								User: u, Start: 1, End: 1, Values: []econ.Money{econ.Dollar},
-							})
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			in.Close()
-			if st := in.Stats(); st.Accepted != total {
-				b.Fatalf("accepted %d of %d bids", st.Accepted, total)
 			}
 		}
 	}

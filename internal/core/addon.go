@@ -119,17 +119,16 @@ func (a *AddOn) Submit(bid OnlineBid) error {
 	if err := bid.Validate(); err != nil {
 		return err
 	}
-	if bid.Start <= a.now {
-		return fmt.Errorf("core: user %d: retroactive bid starting at slot %d, current slot is %d",
-			bid.User, bid.Start, a.now)
+	if err := checkStart(bid, a.now); err != nil {
+		return err
 	}
 	u := a.users[bid.User]
 	if u == nil {
 		a.users[bid.User] = &onlineUser{valueCurve: newValueCurve(bid)}
 		return nil
 	}
-	if u.paid {
-		return fmt.Errorf("core: user %d: bid after departure", bid.User)
+	if err := checkPresent(bid.User, u.paid); err != nil {
+		return err
 	}
 	return u.revise(bid, a.now)
 }
@@ -280,11 +279,10 @@ func (g *AdditiveGame) Now() Slot { return g.now }
 
 // Submit places or revises the user's bid for one optimization.
 func (g *AdditiveGame) Submit(opt OptID, bid OnlineBid) error {
-	game := g.games[opt]
-	if game == nil {
-		return fmt.Errorf("core: bid for unknown optimization %d", opt)
+	if err := checkKnownOpt(opt, g.games); err != nil {
+		return err
 	}
-	return game.Submit(bid)
+	return g.games[opt].Submit(bid)
 }
 
 // AdvanceSlot processes the next slot in every per-optimization game and

@@ -1,0 +1,88 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"sharedopt/internal/core"
+	"sharedopt/internal/core/admissiontest"
+)
+
+// verdict renders an admission outcome for comparison.
+func verdict(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return err.Error()
+}
+
+// admissionRules names each rule by a fragment of its error text; a
+// differential sweep must exercise every one.
+var admissionRules = []string{
+	"bid start slot", "before start", "values for", "negative value",
+	"unknown optimization", "retroactive", "lowers value", "shrinks end",
+	"withdraws value", "after departure", "changes substitute set",
+}
+
+// TestValidatorMatchesMechanisms is the differential property behind
+// core.Validator: over seeded op scripts for both game kinds, its verdict
+// on every bid — nil or the exact error text — equals that of the
+// mechanism it stands in for, AdditiveGame or SubstOn, and the scripts
+// between them trip every admission rule.
+func TestValidatorMatchesMechanisms(t *testing.T) {
+	for _, substitutive := range []bool{false, true} {
+		hit := map[string]int{}
+		revisions := 0
+		for seed := uint64(1); seed <= 40; seed++ {
+			v := core.NewValidator(admissiontest.Catalog())
+			add := core.NewAdditiveGame(admissiontest.Catalog())
+			sub := core.NewSubstOn(admissiontest.Catalog())
+			seen := map[string]bool{}
+			for i, op := range admissiontest.Script(seed, substitutive, 60) {
+				if op.Advance {
+					v.Advance()
+					add.AdvanceSlot()
+					sub.AdvanceSlot()
+					continue
+				}
+				var want error
+				if substitutive {
+					want = sub.Submit(op.SubstBid())
+				} else {
+					want = add.Submit(op.Opt, op.Bid)
+				}
+				got := admissiontest.Admit(v, op, substitutive)
+				if verdict(got) != verdict(want) {
+					t.Fatalf("substitutive=%v seed=%d op %d (%+v): validator says %q, mechanism %q",
+						substitutive, seed, i, op, verdict(got), verdict(want))
+				}
+				for _, rule := range admissionRules {
+					if strings.Contains(verdict(got), rule) {
+						hit[rule]++
+					}
+				}
+				k := fmt.Sprint(op.Bid.User)
+				if !substitutive {
+					k += fmt.Sprint("/", op.Opt)
+				}
+				if got == nil && seen[k] {
+					revisions++
+				}
+				seen[k] = seen[k] || got == nil
+			}
+		}
+		rules := admissionRules
+		if !substitutive {
+			rules = rules[:len(rules)-1]
+		}
+		for _, rule := range rules {
+			if hit[rule] == 0 {
+				t.Errorf("substitutive=%v: no script tripped the %q rule", substitutive, rule)
+			}
+		}
+		if revisions == 0 {
+			t.Errorf("substitutive=%v: no script made an admitted revision", substitutive)
+		}
+	}
+}

@@ -6,24 +6,32 @@ import (
 	"sharedopt/internal/econ"
 )
 
-// valueCurve is a user's declared per-slot value function stored densely:
-// values[k] is the declared value at slot start+k, and suffix[k] caches
-// Σ_{i≥k} values[i] so that residual lookups — the inner loop of every
-// online AdvanceSlot — are O(1) instead of O(slots). The suffix array is
-// rebuilt on the cold path (Submit), never on the hot path.
-type valueCurve struct {
+// declared is a user's declared per-slot value function: values[k] is
+// the value declared for slot start+k. It is all the admission rules
+// (admission.go) need to judge a revision.
+type declared struct {
 	start, end Slot
 	values     []econ.Money
-	suffix     []econ.Money
+}
+
+// newDeclared builds the curve of a validated first bid.
+func newDeclared(bid OnlineBid) declared {
+	return declared{start: bid.Start, end: bid.End, values: append([]econ.Money(nil), bid.Values...)}
+}
+
+// valueCurve is a declared curve plus the mechanisms' residual cache:
+// suffix[k] caches Σ_{i≥k} values[i] so that residual lookups — the inner
+// loop of every online AdvanceSlot — are O(1) instead of O(slots). The
+// suffix array is rebuilt on the cold path (Submit), never on the hot
+// path.
+type valueCurve struct {
+	declared
+	suffix []econ.Money
 }
 
 // newValueCurve builds the curve of a validated first bid.
 func newValueCurve(bid OnlineBid) valueCurve {
-	c := valueCurve{
-		start:  bid.Start,
-		end:    bid.End,
-		values: append([]econ.Money(nil), bid.Values...),
-	}
+	c := valueCurve{declared: newDeclared(bid)}
 	c.rebuildSuffix()
 	return c
 }
@@ -65,7 +73,7 @@ func (c *valueCurve) total() econ.Money {
 }
 
 // valueAt returns the declared value at slot t (0 outside the interval).
-func (c *valueCurve) valueAt(t Slot) econ.Money {
+func (c *declared) valueAt(t Slot) econ.Money {
 	idx := int(t - c.start)
 	if idx < 0 || idx >= len(c.values) {
 		return 0
@@ -77,9 +85,9 @@ func (c *valueCurve) valueAt(t Slot) econ.Money {
 // not-yet-processed slot the revised value must be at least the previously
 // declared value, the interval may only extend, and previously declared
 // future value may not be withdrawn. now is the last processed slot. On
-// success the curve is rebased onto the union of the old and new intervals
-// and the suffix cache is rebuilt.
-func (c *valueCurve) revise(bid OnlineBid, now Slot) error {
+// success the curve is rebased onto the union of the old and new
+// intervals.
+func (c *declared) revise(bid OnlineBid, now Slot) error {
 	if bid.End < c.end {
 		return fmt.Errorf("core: user %d: revision shrinks end from %d to %d", bid.User, c.end, bid.End)
 	}
@@ -116,6 +124,15 @@ func (c *valueCurve) revise(bid OnlineBid, now Slot) error {
 		values[int(bid.Start-start)+k] = v
 	}
 	c.start, c.end, c.values = start, end, values
+	return nil
+}
+
+// revise applies a revision to the declared curve and rebuilds the suffix
+// cache.
+func (c *valueCurve) revise(bid OnlineBid, now Slot) error {
+	if err := c.declared.revise(bid, now); err != nil {
+		return err
+	}
 	c.rebuildSuffix()
 	return nil
 }

@@ -48,9 +48,8 @@ func (n *NaiveOnline) Submit(bid OnlineBid) error {
 	if err := bid.Validate(); err != nil {
 		return err
 	}
-	if bid.Start <= n.now {
-		return fmt.Errorf("core: user %d: retroactive bid starting at slot %d, current slot is %d",
-			bid.User, bid.Start, n.now)
+	if err := checkStart(bid, n.now); err != nil {
+		return err
 	}
 	if _, dup := n.users[bid.User]; dup {
 		return fmt.Errorf("core: user %d: naive mechanism does not support revisions", bid.User)

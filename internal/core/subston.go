@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"sharedopt/internal/econ"
@@ -25,7 +24,12 @@ func (b OnlineSubstBid) Validate() error {
 	if err := (SubstBid{User: b.User, Opts: b.Opts}).Validate(); err != nil {
 		return err
 	}
-	return OnlineBid{User: b.User, Start: b.Start, End: b.End, Values: b.Values}.Validate()
+	return b.online().Validate()
+}
+
+// online returns the bid's interval and values as an OnlineBid.
+func (b OnlineSubstBid) online() OnlineBid {
+	return OnlineBid{User: b.User, Start: b.Start, End: b.End, Values: b.Values}
 }
 
 // substUser is SubstOn's record of one user. start is the first bid's
@@ -111,16 +115,13 @@ func (s *SubstOn) Submit(bid OnlineSubstBid) error {
 	if err := bid.Validate(); err != nil {
 		return err
 	}
-	for _, j := range bid.Opts {
-		if _, ok := s.optPos[j]; !ok {
-			return fmt.Errorf("core: user %d bid for unknown optimization %d", bid.User, j)
-		}
+	if err := checkKnownSet(bid, s.optPos); err != nil {
+		return err
 	}
-	if bid.Start <= s.now {
-		return fmt.Errorf("core: user %d: retroactive bid starting at slot %d, current slot is %d",
-			bid.User, bid.Start, s.now)
+	online := bid.online()
+	if err := checkStart(online, s.now); err != nil {
+		return err
 	}
-	online := OnlineBid{User: bid.User, Start: bid.Start, End: bid.End, Values: bid.Values}
 	u := s.users[bid.User]
 	if u == nil {
 		s.users[bid.User] = &substUser{
@@ -130,29 +131,13 @@ func (s *SubstOn) Submit(bid OnlineSubstBid) error {
 		}
 		return nil
 	}
-	if u.paid {
-		return fmt.Errorf("core: user %d: bid after departure", bid.User)
+	if err := checkPresent(bid.User, u.paid); err != nil {
+		return err
 	}
-	if !sameOptSet(u.opts, bid.Opts) {
-		return fmt.Errorf("core: user %d: revision changes substitute set", bid.User)
+	if err := checkSameSet(bid.User, u.opts, bid.Opts); err != nil {
+		return err
 	}
 	return u.curve.revise(online, s.now)
-}
-
-func sameOptSet(a, b []OptID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[OptID]bool, len(a))
-	for _, j := range a {
-		set[j] = true
-	}
-	for _, j := range b {
-		if !set[j] {
-			return false
-		}
-	}
-	return true
 }
 
 // AdvanceSlot processes the next time slot by running the SubstOff phase

@@ -1,14 +1,18 @@
-// Package resilience is the fault-tolerant front end around the pricing
-// tier: a checksummed bid journal, deterministic crash recovery, a
-// bounded-queue ingestion layer with admission control, a sharded
-// durable tier with per-shard journals and partial-failure degradation,
-// and seeded fault injection for testing all of it.
+// Package resilience is the durable pricing tier around the online
+// mechanisms: a checksummed bid journal, a sharded tier with per-shard
+// journals and partial-failure degradation, deterministic crash
+// recovery, retry with bounded admission, and seeded fault injection for
+// testing all of it.
 //
 // The paper's guarantees — truthfulness and exact cost recovery — are
 // economic statements about the set of accepted bids. A provider that
 // loses accepted bids in a crash, or sheds them silently under load,
 // breaks the mechanism even if it stays up. This package makes the
 // accepted-bid set durable and the overload behavior explicit.
+//
+// There is one front door: ShardedService. At N = 1 it is the
+// single-journal tier; at any N it prices exactly as one plain
+// sharedopt.Service would.
 //
 // # Journal format
 //
@@ -17,81 +21,78 @@
 //	<crc32-ieee-hex8> <payload-json>\n
 //
 // The checksum covers the payload bytes. The payload is a Record: a
-// sequence number (strictly 1, 2, 3, …), a kind, and the mutation's
-// arguments with all money in exact integer micro-dollars. A service
-// journal opens with one "svc" config record (kind, horizon, catalog)
-// followed by mutation records ("abid", "sbid", "adv", "close"); a
-// period-manager journal opens with "mgr" and brackets each period's
-// mutations with a "start" record carrying that period's recomputed
-// costs. Each record is issued as a single Write to the log target
-// (MemLog in memory, FileLog with per-record fsync on disk), so a crash
-// tears at most the final record; ReadJournal verifies newline framing,
-// checksum, and sequence continuity, and cleanly discards everything
-// from the first damaged record on.
+// sequence number (strictly 1, 2, 3, …), a kind, and the operation's
+// arguments with all money in exact integer micro-dollars. A shard
+// journal opens with one "shard" config record (kind, horizon, catalog,
+// shard index and count) followed by that shard's accepted bids ("abid",
+// "sbid") and settlement markers ("adv", "close"). Each record is issued
+// as a single Write to the log target (MemLog in memory, FileLog with
+// per-record fsync on disk), so a crash tears at most the final record;
+// ReadJournal verifies newline framing, checksum, and sequence
+// continuity, and cleanly discards everything from the first damaged
+// record on.
+//
+// # Shards and settlement
+//
+// ShardedService partitions users across N shards. ShardFor routes each
+// user to one shard by a fixed hash, so a user's bids — and any
+// conflicting revisions — always meet the same journal. A shard
+// (ShardHost) is a validator, a dedup map, and a journal: the
+// core.Validator applies the online mechanisms' admission rules
+// (retroactive bids, monotone revisions, departures, fixed substitute
+// sets) to its users' declared curves, fingerprint dedup makes a
+// resubmission idempotent, and an admitted bid is journaled before it is
+// acknowledged. No shard runs the mechanism. Slot settlement makes one
+// adv marker durable per shard, then folds every shard's batch into the
+// single derived settlement service in shard-index order, bids within a
+// shard in journal order, and runs the mechanism there, once per slot.
+// Because the mechanisms price the per-window accepted-bid SET, invoices,
+// revenue, surplus, and the implemented set are byte-identical to one
+// plain Service at any N — property-tested at N ∈ {1, 2, 4, 8}.
 //
 // # Recovery invariants
 //
 // Mutations follow accept-then-journal with fail-stop semantics: a call
-// returns nil only if the mutation was applied AND journaled; the first
-// journal write failure wedges the service (ErrJournalBroken) so an
-// unjournaled accept can never be followed by further acknowledged work.
-// Because every mechanism in internal/core is deterministic, replaying
-// the journal's accepted prefix through RecoverService or
-// RecoverPeriodManager reproduces invoices, revenue, cost, and the
-// implemented set byte-identically — property-tested by crashing at
-// every record boundary (and with torn tails) of randomized workloads.
-// Recovery of a period manager re-runs the cost policy and verifies it
-// against the journaled period costs, failing with ErrPolicyDiverged on
-// any mismatch rather than silently recomputing different prices.
+// returns nil only if the operation was admitted AND journaled; the
+// first journal write failure wedges that shard (ErrShardWedged, its
+// users read-only) so an unjournaled accept can never be followed by
+// further acknowledged work on it, while every other shard keeps
+// accepting. Only when every shard is wedged does the tier refuse to
+// advance, with ErrJournalBroken. RecoverShardHost rebuilds one shard by
+// replaying its journal into a fresh validator and dedup map;
+// RecoverShardedService rebuilds the tier from the N surviving journals
+// (any subset torn or truncated): each shard's accepted prefix replays
+// independently, then the slot frontiers reconcile — the maximum durable
+// frontier wins, shards behind it roll forward deterministically as their
+// hosts re-journal the missing markers, and their stranded tail bids
+// settle in exactly the window the live tier would have folded them
+// into. Because every mechanism in internal/core is deterministic,
+// recovery reproduces invoices, revenue, cost, and the implemented set
+// byte-identically — property-tested by crashing at every record
+// boundary and every cross-shard write, with and without torn tails.
+// Double recovery of the same journals is byte-identical, wedged set
+// included. A journal this code cannot have written (one user's bids
+// split across shards, a foreign or hand-edited log) can hold bids the
+// settlement game refuses; the fold wedges that shard with
+// ErrPolicyDiverged instead of failing the tier.
 //
 // # Retry and idempotency contract
 //
-// Ingest admits bids into a bounded queue and rejects overflow fast with
-// the typed ErrOverloaded — never a silent drop; Counters carries the
-// exact accounting. ErrOverloaded (and only it) is Retryable; Retry
-// wraps an operation in capped exponential backoff. Blind retries are
-// safe against a journaled service because submissions are idempotent:
-// a resubmission byte-identical to an accepted one returns success
-// without journaling or applying anything, so a client that lost the
-// first acknowledgment cannot double-bid. Provider calls (AdvanceSlot,
-// ClosePeriod) take a context deadline; a deadline error means the
-// operation's fate is unknown (exactly as after a crash) and the caller
-// resynchronizes from Now or the journal.
-//
-// # Sharded tier
-//
-// ShardedService partitions durable intake across N shards, each
-// wrapping its own JournaledService with its own journal and sequence
-// numbers. ShardFor routes each user to one shard by a fixed hash, so
-// a user's bids — and any conflicting revisions — always meet the same
-// journal. Shards validate, journal, and batch bids independently
-// (submitters serialize only per shard); slot settlement then folds
-// every shard's batch into a single derived settlement service in
-// shard-index order, bids within a shard in journal order. Because the
-// mechanisms price the per-window accepted-bid SET, invoices, revenue,
-// surplus, and the implemented set are byte-identical to a one-shard
-// tier at any N — property-tested at N ∈ {1, 2, 4, 8}.
-//
-// Failure degrades per shard: the first journal failure (or a bid that
-// settles inconsistently, ErrPolicyDiverged) wedges only that shard,
-// whose users get the typed ErrShardWedged (read-only) while every
-// other shard keeps accepting; ShardCounters carries the exact
-// accounting. Only when every shard is wedged does the tier refuse to
-// advance, with ErrJournalBroken. RecoverShardedService rebuilds the
-// tier from the N surviving journals (any subset torn or truncated):
-// each shard's accepted prefix replays independently, then the slot
-// frontiers reconcile — the maximum durable frontier wins, shards
-// behind it roll forward deterministically by re-journaling the
-// missing markers, and their stranded tail bids settle in exactly the
-// window the live tier would have folded them into. Double recovery of
-// the same journals is byte-identical, wedged set included.
+// Each shard's between-slots batch is bounded (ShardedConfig.MaxBatch); a
+// submission arriving at a full batch is refused fast with the typed
+// ErrOverloaded — never a silent drop — and ShardCounters carries the
+// exact accounting. ErrOverloaded (and only it) is Retryable; Retry wraps
+// an operation in capped exponential backoff. Blind retries are safe
+// because submissions are idempotent: a resubmission byte-identical to
+// an accepted one returns success without journaling anything, so a
+// client that lost the first acknowledgment cannot double-bid.
 //
 // # Network transport
 //
 // The router/shard seam is the ShardTransport interface: Submit,
 // Advance, ClosePeriod, and Stats with context deadlines. ShardHost
-// adapts a shard's JournaledService to it in-process (the loopback the
-// plain constructors use); the transport subpackage carries the same
+// implements it in-process (the loopback the plain constructors use);
+// the transport subpackage carries the same
 // calls over a length-prefixed TCP protocol (ShardServer/ShardClient),
 // and NewShardedServiceOver builds a tier on any mix of links after a
 // Stats handshake verifies each link reaches the shard the router will
@@ -114,11 +115,10 @@
 // # Observability
 //
 // Instrumentation is opt-in and inert: pass an *obs.Registry in
-// IngestConfig.Obs or ShardedConfig.Obs and the front end and tier
-// maintain exact outcome counters (mirroring Counters/ShardCounters),
-// queue and batch high-water marks, and latency histograms for journal
-// writes, operation applies, and slot advances — lock-free and
-// allocation-free on the hot path. A nil registry costs one predicted
+// ShardedConfig.Obs (to NewShardedService or RecoverShardedService) and
+// the tier maintains exact outcome counters (mirroring ShardCounters),
+// batch high-water marks, and latency histograms for journal writes and
+// slot advances — lock-free and allocation-free on the hot path. A nil registry costs one predicted
 // nil check per hook. Metrics are bookkeeping only: an instrumented run
 // produces byte-identical journals, invoices, and counters to a bare
 // one (property-tested in obs_test.go). The metric name contract lives
@@ -136,7 +136,7 @@
 // crash (or a global write budget, KillAtWrite) stops every journal at
 // the same instant, tearing at most one record on one shard — the
 // cross-shard interleaving crash recovery must reconcile. cmd/pricer's
-// chaos mode drives randomized workloads through ingestion + journal +
-// recovery (single and sharded) under these plans and asserts the
-// invariants above on every schedule.
+// chaos mode drives randomized workloads through the tier at N ∈
+// {1, 2, 4, 8} under these plans, recovers, and asserts the invariants
+// above on every schedule.
 package resilience

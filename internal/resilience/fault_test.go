@@ -1,9 +1,11 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"sharedopt"
@@ -12,122 +14,133 @@ import (
 	"sharedopt/internal/stats"
 )
 
-// faultFixture builds a journaled service writing through a FaultWriter
+// faultFixture builds a one-shard host writing through a FaultWriter
 // into a MemLog.
-func faultFixture(t *testing.T, plan FaultPlan) (*JournaledService, *FaultWriter, *MemLog) {
+func faultFixture(t *testing.T, plan FaultPlan) (*ShardHost, *FaultWriter, *MemLog) {
 	t.Helper()
 	var m MemLog
 	fw := NewFaultWriter(&m, plan)
-	js, err := NewJournaledService(sharedopt.Additive,
-		[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}, 4, fw)
+	h, err := NewShardHost(sharedopt.Additive,
+		[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}, 4, 0, 1, fw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js, fw, &m
+	return h, fw, &m
 }
 
 func bidFor(u core.UserID) core.OnlineBid {
 	return core.OnlineBid{User: u, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(3)}}
 }
 
+// submitBid delivers an additive bid for opt 1 to h.
+func submitBid(h *ShardHost, bid core.OnlineBid) (SubmitResult, error) {
+	return h.Submit(context.Background(), additiveBidRecord(1, bid))
+}
+
 // TestFaultWriterEndToEnd runs each fault kind against record 2 (the
-// second bid): the failing call errors, the service wedges fail-stop,
-// and recovery from the surviving log yields exactly the state before
-// the failed mutation — which can then continue on a fresh log.
+// second bid): the failing call errors, the host wedges fail-stop, and
+// recovery from the surviving log yields exactly the state before the
+// failed mutation — which can then continue on a fresh log.
 func TestFaultWriterEndToEnd(t *testing.T) {
 	wantErr := map[FaultKind]error{
 		FaultErr:   ErrInjected,
 		FaultShort: io.ErrShortWrite,
 		FaultCrash: ErrCrashed,
 	}
+	ctx := context.Background()
 	for kind, want := range wantErr {
 		t.Run(kind.String(), func(t *testing.T) {
-			js, fw, m := faultFixture(t, FaultPlan{Kind: kind, Record: 2, Tear: 7})
-			if err := js.SubmitAdditiveBid(1, bidFor(1)); err != nil {
+			h, fw, m := faultFixture(t, FaultPlan{Kind: kind, Record: 2, Tear: 7})
+			if _, err := submitBid(h, bidFor(1)); err != nil {
 				t.Fatal(err)
 			}
-			snapBefore := snapshotService(js.Service())
-			err := js.SubmitAdditiveBid(1, bidFor(2))
-			if !errors.Is(err, want) {
-				t.Fatalf("faulted submit: got %v, want %v", err, want)
+			before, err := h.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = submitBid(h, bidFor(2))
+			if !errors.Is(err, want) || !errors.Is(err, ErrJournalBroken) {
+				t.Fatalf("faulted submit: got %v, want %v wrapped in ErrJournalBroken", err, want)
 			}
 			// Fail-stop: every further mutation reports the wedge.
-			if err := js.SubmitAdditiveBid(1, bidFor(3)); !errors.Is(err, ErrJournalBroken) {
+			if _, err := submitBid(h, bidFor(3)); !errors.Is(err, ErrJournalBroken) {
 				t.Fatalf("submit after wedge: %v", err)
 			}
-			if _, err := js.AdvanceSlot(); !errors.Is(err, ErrJournalBroken) {
+			if err := h.Advance(ctx, 1); !errors.Is(err, ErrJournalBroken) {
 				t.Fatalf("advance after wedge: %v", err)
 			}
-			if js.Broken() == nil {
-				t.Fatal("Broken() = false after wedge")
+			if h.Broken() == nil {
+				t.Fatal("Broken() = nil after wedge")
 			}
 			if kind == FaultCrash && !fw.Crashed() {
 				t.Fatal("crash plan did not mark the writer crashed")
 			}
 
 			// Recover from whatever bytes survived: the torn record (if
-			// any) is discarded and the state matches the pre-failure
-			// snapshot exactly — the failed bid is gone, the first is not.
+			// any) is discarded and the host matches its pre-failure state
+			// exactly — the failed bid is gone, the first is not.
 			recs, consumed, _ := ReadJournal(m.Bytes())
 			var fresh MemLog
 			if _, err := fresh.Write(m.Bytes()[:consumed]); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := RecoverService(recs, &fresh)
+			rec, err := RecoverShardHost(recs, &fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := snapshotService(rec.Service()); got != snapBefore {
-				t.Fatalf("recovered state:\n%s\nwant pre-failure state:\n%s", got, snapBefore)
+			if got, _ := rec.Stats(ctx); !reflect.DeepEqual(got, before) {
+				t.Fatalf("recovered host: %+v\nwant pre-failure state: %+v", got, before)
 			}
-			// The recovered service is live: the lost bid can be resubmitted
-			// and the period runs to settlement.
-			if err := rec.SubmitAdditiveBid(1, bidFor(2)); err != nil {
-				t.Fatalf("resubmit after recovery: %v", err)
+			// The recovered host is live: the lost bid is journaled fresh,
+			// the surviving one deduplicates, and the period runs out.
+			if res, err := submitBid(rec, bidFor(2)); err != nil || !res.Fresh {
+				t.Fatalf("resubmit after recovery: %+v, %v", res, err)
 			}
-			if _, err := rec.AdvanceSlot(); err != nil {
+			if res, err := submitBid(rec, bidFor(1)); err != nil || res.Fresh {
+				t.Fatalf("duplicate after recovery: %+v, %v", res, err)
+			}
+			if err := rec.Advance(ctx, 1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rec.ClosePeriod(); err != nil {
+			if err := rec.ClosePeriod(ctx); err != nil {
 				t.Fatal(err)
-			}
-			if rec.Surplus() < 0 {
-				t.Fatalf("negative surplus after recovery: %v", rec.Surplus())
 			}
 		})
 	}
 }
 
 // TestFaultPlanSweep drives 64 seeded plans through the same workload:
-// whatever the plan does, the service either completes or wedges, and
-// recovery of the surviving journal bytes always succeeds with
+// whatever the plan does, the host either completes or wedges, and
+// recovery of the surviving journal bytes always succeeds — the host
+// with one bid per journaled bid record, the tier over it with
 // non-negative surplus and every journaled bid priced.
 func TestFaultPlanSweep(t *testing.T) {
+	ctx := context.Background()
 	for seed := uint64(1); seed <= 64; seed++ {
 		plan := RandomPlan(seed, 8)
 		t.Run(fmt.Sprintf("seed=%d/%v", seed, plan), func(t *testing.T) {
 			var m MemLog
 			fw := NewFaultWriter(&m, plan)
-			js, err := NewJournaledService(sharedopt.Additive,
-				[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}, 4, fw)
+			h, err := NewShardHost(sharedopt.Additive,
+				[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}, 4, 0, 1, fw)
 			if err != nil {
 				// The config record itself was faulted: nothing durable
-				// exists and the constructor must refuse the service.
+				// exists and the constructor must refuse the host.
 				if plan.Kind == FaultNone || plan.Record != 0 {
 					t.Fatalf("constructor failed under plan %v: %v", plan, err)
 				}
 				return
 			}
 			for u := core.UserID(1); u <= 3; u++ {
-				js.SubmitAdditiveBid(1, core.OnlineBid{
+				submitBid(h, core.OnlineBid{
 					User: u, Start: 1, End: 2,
 					Values: []econ.Money{econ.FromDollars(4), econ.FromDollars(4)},
 				})
 			}
-			js.AdvanceSlot()
-			js.SubmitAdditiveBid(1, bidFor(9))
-			js.AdvanceSlot()
-			js.ClosePeriod()
+			h.Advance(ctx, 1)
+			submitBid(h, core.OnlineBid{User: 9, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(3)}})
+			h.Advance(ctx, 2)
+			h.ClosePeriod(ctx)
 
 			recs, _, _ := ReadJournal(m.Bytes())
 			if len(recs) == 0 {
@@ -137,23 +150,34 @@ func TestFaultPlanSweep(t *testing.T) {
 				}
 				return
 			}
-			rec, err := RecoverService(recs, io.Discard)
+			host, err := RecoverShardHost(recs, io.Discard)
 			if err != nil {
-				t.Fatalf("recovery failed under plan %v: %v", plan, err)
+				t.Fatalf("host recovery failed under plan %v: %v", plan, err)
+			}
+			bidRecords := uint64(0)
+			for _, r := range recs {
+				if r.Kind == KindAdditiveBid {
+					bidRecords++
+				}
+			}
+			if info, _ := host.Stats(ctx); info.Bids != bidRecords {
+				t.Fatalf("recovered host counts %d bids, journal holds %d, under plan %v", info.Bids, bidRecords, plan)
+			}
+			tier, err := RecoverShardedService([][]Record{recs}, []io.Writer{io.Discard}, ShardedConfig{})
+			if err != nil {
+				t.Fatalf("tier recovery failed under plan %v: %v", plan, err)
 			}
 			// Mid-period the surplus may dip negative (cost is incurred at
 			// implementation, revenue accrues in later slots), so settle
 			// the recovered period before asserting cost recovery.
-			if !rec.Closed() {
-				if _, err := rec.ClosePeriod(); err != nil {
-					t.Fatalf("settling recovered service under plan %v: %v", plan, err)
-				}
+			if _, err := tier.ClosePeriod(); err != nil {
+				t.Fatalf("settling recovered tier under plan %v: %v", plan, err)
 			}
-			if rec.Surplus() < 0 {
-				t.Fatalf("negative settled surplus %v under plan %v", rec.Surplus(), plan)
+			if tier.Surplus() < 0 {
+				t.Fatalf("negative settled surplus %v under plan %v", tier.Surplus(), plan)
 			}
 			// Every journaled (= accepted) bid is priced at settlement.
-			inv := rec.Invoices()
+			inv := tier.Invoices()
 			for _, r := range recs {
 				if r.Kind == KindAdditiveBid {
 					if _, ok := inv[r.User]; !ok {

@@ -17,23 +17,18 @@ import (
 // RecordKind names one journal record type.
 type RecordKind string
 
-// The journal record kinds. A standalone service journal is one
-// KindServiceConfig followed by mutations; a period-manager journal is
-// one KindManagerConfig followed by KindStartPeriod groups, each holding
-// that period's mutations.
+// The journal record kinds. A shard journal is one KindShardConfig
+// followed by that shard's accepted bids and settlement markers.
 const (
-	KindServiceConfig RecordKind = "svc"
-	KindManagerConfig RecordKind = "mgr"
-	KindShardConfig   RecordKind = "shard"
-	KindStartPeriod   RecordKind = "start"
-	KindAdditiveBid   RecordKind = "abid"
-	KindSubstBid      RecordKind = "sbid"
-	KindAdvanceSlot   RecordKind = "adv"
-	KindClosePeriod   RecordKind = "close"
+	KindShardConfig RecordKind = "shard"
+	KindAdditiveBid RecordKind = "abid"
+	KindSubstBid    RecordKind = "sbid"
+	KindAdvanceSlot RecordKind = "adv"
+	KindClosePeriod RecordKind = "close"
 )
 
-// OptCost is an (optimization, cost) pair as journaled in config and
-// start-period records. Costs are exact integer micro-dollars.
+// OptCost is an (optimization, cost) pair as journaled in config
+// records. Costs are exact integer micro-dollars.
 type OptCost struct {
 	ID   core.OptID `json:"id"`
 	Cost econ.Money `json:"cost"`
@@ -42,10 +37,8 @@ type OptCost struct {
 // Record is one journal entry. Seq is assigned by the journal (strictly
 // increasing from 1); the remaining fields are populated per Kind:
 //
-//   - svc/mgr: Game ("additive"/"substitutive"), Horizon, Opts (catalog)
-//   - shard:   Game, Horizon, Opts, plus Shard (this journal's index)
-//     and Shards (the tier's shard count)
-//   - start:   Period (1-based), Opts (this period's recomputed costs)
+//   - shard:   Game ("additive"/"substitutive"), Horizon, Opts (catalog),
+//     Shard (this journal's index) and Shards (the tier's shard count)
 //   - abid:    User, Opt, Start, End, Values
 //   - sbid:    User, Set (substitute set), Start, End, Values
 //   - adv/close: no payload — their effects are deterministic replays
@@ -57,7 +50,6 @@ type Record struct {
 	Opts    []OptCost    `json:"opts,omitempty"`
 	Shard   int          `json:"shard,omitempty"`
 	Shards  int          `json:"shards,omitempty"`
-	Period  int          `json:"period,omitempty"`
 	User    core.UserID  `json:"user,omitempty"`
 	Opt     core.OptID   `json:"opt,omitempty"`
 	Set     []core.OptID `json:"set,omitempty"`
@@ -147,8 +139,8 @@ func ReadJournal(data []byte) (recs []Record, consumed int, torn bool) {
 
 // ErrJournalBroken wraps the first append failure of a journal: once a
 // write fails the in-memory state may be ahead of the durable log, so
-// the journal refuses all further appends and the owning service must be
-// discarded and rebuilt with Recover*.
+// the journal refuses all further appends and the owning shard must be
+// discarded and rebuilt with RecoverShardHost or RecoverShardedService.
 var ErrJournalBroken = errors.New("resilience: journal broken by an earlier write failure")
 
 // Journal appends checksummed records to an io.Writer (fail-stop: the

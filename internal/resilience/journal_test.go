@@ -13,8 +13,8 @@ import (
 
 func testRecords() []Record {
 	return []Record{
-		{Kind: KindServiceConfig, Game: "additive", Horizon: 3,
-			Opts: []OptCost{{ID: 1, Cost: econ.FromDollars(10)}}},
+		{Kind: KindShardConfig, Game: "additive", Horizon: 3,
+			Opts: []OptCost{{ID: 1, Cost: econ.FromDollars(10)}}, Shards: 1},
 		{Kind: KindAdditiveBid, User: 7, Opt: 1, Start: 1, End: 2,
 			Values: []econ.Money{econ.FromDollars(4), econ.FromDollars(4)}},
 		{Kind: KindAdvanceSlot},
@@ -280,8 +280,8 @@ func TestFileLogReopenRejectsDuplicateSeq(t *testing.T) {
 
 // TestFileLogEmptyFileRecovery: a zero-byte journal (crash before the
 // config write reached the disk) reopens clean with no records, and a
-// service recovery over it reports ErrEmptyJournal rather than
-// fabricating state.
+// shard recovery over it reports ErrEmptyJournal rather than fabricating
+// state.
 func TestFileLogEmptyFileRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bids.journal")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -294,7 +294,7 @@ func TestFileLogEmptyFileRecovery(t *testing.T) {
 	if torn || len(recs) != 0 {
 		t.Fatalf("empty file: %d records, torn=%v", len(recs), torn)
 	}
-	if _, err := RecoverService(recs, log); !errors.Is(err, ErrEmptyJournal) {
+	if _, err := RecoverShardHost(recs, log); !errors.Is(err, ErrEmptyJournal) {
 		t.Fatalf("recovery over empty journal: %v, want ErrEmptyJournal", err)
 	}
 	// The empty log is a valid fresh target.

@@ -1,21 +1,16 @@
 package resilience
 
 // The observability contract of the durable tier. Instrumentation is
-// opt-in: pass an *obs.Registry in IngestConfig.Obs or ShardedConfig.Obs
-// and the component registers and maintains the metrics below; leave it
-// nil and every hook is a nil-receiver no-op (see internal/obs). The
+// opt-in: pass an *obs.Registry in ShardedConfig.Obs (to a fresh or a
+// recovered tier) and the tier registers and maintains the metrics
+// below; leave it nil and every hook is a nil-receiver no-op (see
+// internal/obs). The
 // metrics are bookkeeping only — they never change admission decisions,
 // settlement order, or a single journal byte (property-tested in
 // obs_test.go), so an instrumented tier is byte-identical to a bare one.
 //
 // Metric names, by emitting layer (the operator-facing table with units
 // and alert guidance is docs/metrics.md):
-//
-//	ingest (bounded-queue front end, Ingest):
-//	  ingest.accepted / ingest.rejected / ingest.expired /
-//	  ingest.overloaded / ingest.advanced   counters mirroring Counters
-//	  ingest.queue_highwater                peak queue depth observed at admission
-//	  ingest.apply_ns                       per-operation apply latency histogram
 //
 //	shard (each partition of a ShardedService; <i> is the shard index):
 //	  shard<i>.accepted / .rejected / .overloaded / .read_only /
@@ -41,10 +36,6 @@ package resilience
 //	                                        (late, duplicated, reordered)
 //	  shard<i>.net_breaker_open             circuit-breaker trips to open
 //	  shard<i>.net_rtt_ns                   per-call round-trip latency
-//
-// A standalone JournaledService is instrumented the same way the sharded
-// tier instruments its shards: wrap the journal target in an
-// obs.TimedWriter before NewJournaledService to observe write latency.
 
 import (
 	"fmt"
@@ -108,29 +99,5 @@ func newTierMetrics(reg *obs.Registry) tierMetrics {
 		classMetrics: newClassMetrics(reg, "tier"),
 		advances:     reg.Counter("tier.advances"),
 		advanceNs:    reg.Histogram("tier.advance_ns", nil),
-	}
-}
-
-// ingestMetrics is the Ingest front end's metric set.
-type ingestMetrics struct {
-	accepted   *obs.Counter
-	rejected   *obs.Counter
-	expired    *obs.Counter
-	overloaded *obs.Counter
-	advanced   *obs.Counter
-	queueHigh  *obs.MaxGauge
-	applyNs    *obs.Histogram
-}
-
-// newIngestMetrics registers the front end's metrics.
-func newIngestMetrics(reg *obs.Registry) ingestMetrics {
-	return ingestMetrics{
-		accepted:   reg.Counter("ingest.accepted"),
-		rejected:   reg.Counter("ingest.rejected"),
-		expired:    reg.Counter("ingest.expired"),
-		overloaded: reg.Counter("ingest.overloaded"),
-		advanced:   reg.Counter("ingest.advanced"),
-		queueHigh:  reg.MaxGauge("ingest.queue_highwater"),
-		applyNs:    reg.Histogram("ingest.apply_ns", nil),
 	}
 }

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -212,57 +211,79 @@ func TestShardedObsWedgeCounting(t *testing.T) {
 	}
 }
 
-// The ingest front end's obs counters mirror Counters exactly, and the
-// queue high-water mark and apply-latency histogram populate.
-func TestIngestObsMirrorsCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	var m MemLog
-	js, err := NewJournaledService(sharedopt.Additive,
-		[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(3)}}, 4, &m)
+// A recovered tier exports the same metrics as a fresh one: the
+// per-shard and tier counters start from the replayed accepts, so
+// tier.accepted equals the summed ShardStats().Accepted before and after
+// a post-recovery submit, and journal writes are timed again.
+func TestShardedRecoverExportsMetrics(t *testing.T) {
+	const shards = 3
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(4)}}
+	logs, ws := memWriters(shards)
+	ss, err := NewShardedService(sharedopt.Additive, catalog, 6, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewIngest(js, IngestConfig{Queue: 4, Obs: reg})
-	defer in.Close()
-	for u := core.UserID(1); u <= 6; u++ {
-		err := in.SubmitAdditive(1, core.OnlineBid{User: u, Start: 1, End: 1,
-			Values: []econ.Money{econ.Dollar}})
-		for Retryable(err) {
-			err = in.SubmitAdditive(1, core.OnlineBid{User: u, Start: 1, End: 1,
-				Values: []econ.Money{econ.Dollar}})
+	bid := func(u core.UserID, slot core.Slot) core.OnlineBid {
+		return core.OnlineBid{User: u, Start: slot, End: slot, Values: []econ.Money{econ.Dollar}}
+	}
+	for u := core.UserID(1); u <= 12; u++ {
+		slot := core.Slot(1)
+		if u > 6 {
+			slot = 2
 		}
-		if err != nil {
+		if err := ss.SubmitAdditiveBid(1, bid(u, slot)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// One mechanism rejection: a retroactive bid after an advance.
-	if _, err := in.AdvanceSlot(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.SubmitAdditive(1, core.OnlineBid{User: 99, Start: 1, End: 1,
-		Values: []econ.Money{econ.Dollar}}); err == nil {
-		t.Fatal("retroactive bid must be rejected")
-	}
-	st := in.Stats()
-	snap := reg.Snapshot()
-	for name, want := range map[string]uint64{
-		"ingest.accepted":   st.Accepted,
-		"ingest.rejected":   st.Rejected,
-		"ingest.expired":    st.Expired,
-		"ingest.overloaded": st.Overloaded,
-		"ingest.advanced":   st.Advanced,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("%s = %d, want %d (Counters %+v)", name, got, want, st)
+		if u == 6 {
+			if _, err := ss.AdvanceSlot(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	applied := st.Accepted + st.Rejected + st.Advanced
-	if n := snap.Hists["ingest.apply_ns"].Count; n != uint64(applied) {
-		t.Errorf("ingest.apply_ns observed %d ops, want %d", n, applied)
+
+	journals := make([][]Record, shards)
+	for i := range logs {
+		journals[i], _, _ = ReadJournal(logs[i].Bytes())
 	}
-	// The high-water mark samples depth after admission; the worker may
-	// already have drained the op, so 0 is legal — only the bound is not.
-	if hw := snap.Gauges["ingest.queue_highwater"]; hw > 4 {
-		t.Errorf("ingest.queue_highwater = %d, want <= queue depth 4", hw)
+	reg := obs.NewRegistry()
+	rec, err := RecoverShardedService(journals, ws, ShardedConfig{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, wantAccepted uint64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		var sum uint64
+		for i, sc := range rec.ShardStats() {
+			sum += sc.Accepted
+			if got := snap.Counters[fmt.Sprintf("shard%d.accepted", i)]; got != sc.Accepted {
+				t.Errorf("%s: shard%d.accepted = %d, ShardStats says %d", when, i, got, sc.Accepted)
+			}
+		}
+		if sum != wantAccepted {
+			t.Errorf("%s: shards accepted %d, want %d", when, sum, wantAccepted)
+		}
+		if got := snap.Counters["tier.accepted"]; got != sum {
+			t.Errorf("%s: tier.accepted = %d, want %d", when, got, sum)
+		}
+	}
+	check("after recovery", 12)
+	if err := rec.SubmitAdditiveBid(1, bid(13, 2)); err != nil {
+		t.Fatal(err)
+	}
+	check("after a post-recovery submit", 13)
+	if _, err := rec.AdvanceSlot(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["tier.settled"]; got != 13 {
+		t.Errorf("tier.settled = %d, want 13", got)
+	}
+	writes := uint64(0)
+	for i := 0; i < shards; i++ {
+		writes += snap.Hists[fmt.Sprintf("shard%d.journal_write_ns", i)].Count
+	}
+	if writes == 0 {
+		t.Error("no post-recovery journal write was timed")
 	}
 }

@@ -1,20 +1,18 @@
 package resilience
 
-// The crash-replay property: for randomized additive and substitutive
-// workloads, killing the journaled service at EVERY record boundary —
-// and at every torn prefix of the next record — then recovering from the
-// surviving bytes must reproduce invoices, revenue, cost, and the
-// implemented set byte-identically to the uncrashed run at that same
-// point. The uncrashed run is its own oracle: a snapshot string is taken
-// after every journaled record, and each recovery is compared against
-// the snapshot of its surviving prefix.
+// The crash-replay property of the single-journal tier (N = 1): for
+// seeded additive and substitutive workload scripts, killing the tier at
+// EVERY record boundary — and at every torn prefix of the next record —
+// then recovering from the surviving bytes must reproduce invoices,
+// revenue, cost, and the implemented set byte-identically to the
+// uncrashed run at that same point. The uncrashed run is its own oracle:
+// a snapshot string is taken after every journaled record, and each
+// recovery is compared against the snapshot of its surviving prefix.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"testing"
 
 	"sharedopt"
@@ -22,37 +20,6 @@ import (
 	"sharedopt/internal/econ"
 	"sharedopt/internal/stats"
 )
-
-// snapshotService renders the complete priced state of a service: the
-// recovery targets named in the crash-replay contract plus the clock.
-func snapshotService(s *sharedopt.Service) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d closed=%v revenue=%v cost=%v surplus=%v\n",
-		s.Now(), s.Closed(), s.Revenue(), s.CostIncurred(), s.Surplus())
-	fmt.Fprintf(&b, "implemented=%v\n", s.ImplementedOpts())
-	inv := s.Invoices()
-	users := make([]core.UserID, 0, len(inv))
-	for u := range inv {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, u := range users {
-		fmt.Fprintf(&b, "user %d paid %v\n", u, inv[u])
-	}
-	return b.String()
-}
-
-// snapshotManager renders a journaled period manager's harvested state
-// plus the open period's full service state.
-func snapshotManager(m *JournaledPeriodManager) string {
-	revenue, cost := m.Totals()
-	s := fmt.Sprintf("period=%d revenue=%v cost=%v implemented=%v\n",
-		m.Period(), revenue, cost, m.Implemented())
-	if cur := m.Current(); cur != nil {
-		s += snapshotService(cur.Service())
-	}
-	return s
-}
 
 // randomCatalog draws a small catalog with cent-precision costs.
 func randomCatalog(r *stats.RNG, n int) []sharedopt.Optimization {
@@ -75,133 +42,31 @@ func randomValues(r *stats.RNG, start, end core.Slot) []econ.Money {
 	return vals
 }
 
-// driveRandomWorkload runs one seeded randomized workload against js,
-// returning one state snapshot per journaled record (snaps[k] is the
-// state after record k+1). The mix includes valid bids, revisions-as-
-// duplicates (idempotent no-ops), deliberately invalid bids (rejected,
-// never journaled), slot advances, and a possible early close.
-func driveRandomWorkload(t *testing.T, r *stats.RNG, js *JournaledService, m *MemLog,
-	kind sharedopt.GameKind, catalog []sharedopt.Optimization, horizon core.Slot) []string {
+// driveCrashWorkload runs a buildTierOps script against a one-shard
+// tier journaling to m, returning one state snapshot per journaled
+// record (snaps[k] is the state after record k+1). Only a settlement
+// marker changes the priced state, so a bid record repeats the snapshot
+// before it.
+func driveCrashWorkload(t *testing.T, ops []tierOp, ss *ShardedService, m *MemLog, kind sharedopt.GameKind) []string {
 	t.Helper()
-	snaps := []string{snapshotService(js.Service())} // after the config record
-
-	recordCount := func() int {
+	snaps := []string{snapshotTier(ss)} // after the config record
+	padTo := func(n int) {
+		for len(snaps) < n {
+			snaps = append(snaps, snaps[len(snaps)-1])
+		}
+	}
+	records := func() int {
 		recs, _, torn := ReadJournal(m.Bytes())
 		if torn {
 			t.Fatal("live journal torn without fault injection")
 		}
 		return len(recs)
 	}
-	snap := func() {
-		for n := recordCount(); len(snaps) < n; {
-			snaps = append(snaps, snapshotService(js.Service()))
-		}
-	}
-
-	type accepted struct {
-		opt core.OptID
-		a   core.OnlineBid
-		s   core.OnlineSubstBid
-	}
-	var bids []accepted
-	nextUser := core.UserID(1)
-
-	submit := func(now core.Slot) {
-		start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-		end := start + core.Slot(r.Intn(int(horizon-start)+1))
-		u := nextUser
-		nextUser++
-		if kind == sharedopt.Additive {
-			opt := catalog[r.Intn(len(catalog))].ID
-			bid := core.OnlineBid{User: u, Start: start, End: end, Values: randomValues(r, start, end)}
-			if err := js.SubmitAdditiveBid(opt, bid); err != nil {
-				t.Fatalf("valid additive bid rejected: %v", err)
-			}
-			bids = append(bids, accepted{opt: opt, a: bid})
-		} else {
-			set := []core.OptID{catalog[r.Intn(len(catalog))].ID}
-			if r.Intn(2) == 0 {
-				for _, o := range catalog {
-					if o.ID != set[0] && r.Intn(2) == 0 {
-						set = append(set, o.ID)
-					}
-				}
-			}
-			bid := core.OnlineSubstBid{User: u, Opts: set, Start: start, End: end, Values: randomValues(r, start, end)}
-			if err := js.SubmitSubstitutiveBid(bid); err != nil {
-				t.Fatalf("valid substitutive bid rejected: %v", err)
-			}
-			bids = append(bids, accepted{s: bid})
-		}
-		snap()
-	}
-
-	resubmitDuplicate := func() {
-		if len(bids) == 0 {
-			return
-		}
-		before := recordCount()
-		b := bids[r.Intn(len(bids))]
-		var err error
-		if kind == sharedopt.Additive {
-			err = js.SubmitAdditiveBid(b.opt, b.a)
-		} else {
-			err = js.SubmitSubstitutiveBid(b.s)
-		}
-		if err != nil {
-			t.Fatalf("duplicate resubmission not a no-op: %v", err)
-		}
-		if after := recordCount(); after != before {
-			t.Fatalf("duplicate resubmission journaled a record (%d -> %d)", before, after)
-		}
-	}
-
-	submitInvalid := func(now core.Slot) {
-		before := recordCount()
-		// Retroactive bid: always rejected once a slot was processed.
-		if now == 0 {
-			return
-		}
-		bad := core.OnlineBid{User: 9999, Start: now, End: now, Values: []econ.Money{econ.Dollar}}
-		var err error
-		if kind == sharedopt.Additive {
-			err = js.SubmitAdditiveBid(catalog[0].ID, bad)
-		} else {
-			err = js.SubmitSubstitutiveBid(core.OnlineSubstBid{
-				User: 9999, Opts: []core.OptID{catalog[0].ID},
-				Start: bad.Start, End: bad.End, Values: bad.Values,
-			})
-		}
-		if err == nil {
-			t.Fatal("retroactive bid accepted")
-		}
-		if after := recordCount(); after != before {
-			t.Fatal("rejected bid was journaled")
-		}
-	}
-
-	for now := core.Slot(0); now < horizon; now++ {
-		for i, k := 0, r.Intn(4); i < k; i++ {
-			submit(now)
-		}
-		switch r.Intn(6) {
-		case 0:
-			resubmitDuplicate()
-		case 1:
-			submitInvalid(now)
-		}
-		if now > 0 && r.Intn(12) == 0 {
-			if _, err := js.ClosePeriod(); err != nil {
-				t.Fatal(err)
-			}
-			snap()
-			return snaps
-		}
-		if _, err := js.AdvanceSlot(); err != nil {
-			t.Fatal(err)
-		}
-		snap()
-	}
+	applyTierOps(t, ops, ss, kind, true, func() {
+		padTo(records() - 1) // the marker just written is the last record
+		snaps = append(snaps, snapshotTier(ss))
+	})
+	padTo(records())
 	return snaps
 }
 
@@ -242,6 +107,11 @@ func verifyCrashBoundaries(t *testing.T, data []byte, snaps []string,
 	}
 }
 
+// recoverOne recovers a one-shard tier from a single journal prefix.
+func recoverOne(recs []Record, w io.Writer) (*ShardedService, error) {
+	return RecoverShardedService([][]Record{recs}, []io.Writer{w}, ShardedConfig{})
+}
+
 func testRecoverServiceCrashReplay(t *testing.T, kind sharedopt.GameKind) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -249,18 +119,19 @@ func testRecoverServiceCrashReplay(t *testing.T, kind sharedopt.GameKind) {
 			catalog := randomCatalog(r, 3)
 			horizon := core.Slot(4 + r.Intn(5))
 			var m MemLog
-			js, err := NewJournaledService(kind, catalog, horizon, &m)
+			ss, err := NewShardedService(kind, catalog, horizon, []io.Writer{&m}, ShardedConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps := driveRandomWorkload(t, r, js, &m, kind, catalog, horizon)
+			ops := buildTierOps(seed*7919+uint64(kind), kind, catalog, horizon)
+			snaps := driveCrashWorkload(t, ops, ss, &m, kind)
 			data := m.Bytes()
 			verifyCrashBoundaries(t, data, snaps, func(recs []Record) (string, error) {
-				rec, err := RecoverService(recs, io.Discard)
+				rec, err := recoverOne(recs, io.Discard)
 				if err != nil {
 					return "", err
 				}
-				return snapshotService(rec.Service()), nil
+				return snapshotTier(rec), nil
 			})
 
 			// A full recovery must also be able to continue operating:
@@ -271,16 +142,16 @@ func testRecoverServiceCrashReplay(t *testing.T, kind sharedopt.GameKind) {
 				t.Fatal(err)
 			}
 			recs, _, _ := ReadJournal(m2.Bytes())
-			rec, err := RecoverService(recs, &m2)
+			rec, err := recoverOne(recs, &m2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !rec.Closed() {
 				if _, err := rec.AdvanceSlot(); err != nil {
-					t.Fatalf("recovered service cannot continue: %v", err)
+					t.Fatalf("recovered tier cannot continue: %v", err)
 				}
 			} else if _, err := rec.ClosePeriod(); err != nil {
-				t.Fatalf("recovered closed service: %v", err)
+				t.Fatalf("recovered closed tier: %v", err)
 			}
 		})
 	}
@@ -294,149 +165,33 @@ func TestRecoverServiceCrashReplaySubstitutive(t *testing.T) {
 	testRecoverServiceCrashReplay(t, sharedopt.Substitutive)
 }
 
-// TestRecoverPeriodManagerCrashReplay runs multi-period workloads under
-// a maintenance-discount policy and crashes at every record boundary,
-// including the start-period records that reprice the catalog.
-func TestRecoverPeriodManagerCrashReplay(t *testing.T) {
-	policy, err := sharedopt.MaintenanceDiscount(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := stats.NewRNG(100 + seed)
-			kind := sharedopt.Additive
-			if seed%2 == 0 {
-				kind = sharedopt.Substitutive
-			}
-			catalog := randomCatalog(r, 3)
-			horizon := core.Slot(3 + r.Intn(3))
-			var m MemLog
-			jm, err := NewJournaledPeriodManager(kind, catalog, horizon, policy, &m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps := []string{snapshotManager(jm)}
-			snap := func() {
-				recs, _, torn := ReadJournal(m.Bytes())
-				if torn {
-					t.Fatal("live journal torn")
-				}
-				for len(snaps) < len(recs) {
-					snaps = append(snaps, snapshotManager(jm))
-				}
-			}
-			periods := 2 + int(seed%2)
-			for p := 0; p < periods; p++ {
-				js, err := jm.StartPeriod()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap()
-				user := core.UserID(1)
-				for now := core.Slot(0); now < horizon && !js.Closed(); now++ {
-					for i, k := 0, r.Intn(3); i < k; i++ {
-						start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-						end := start + core.Slot(r.Intn(int(horizon-start)+1))
-						vals := randomValues(r, start, end)
-						if kind == sharedopt.Additive {
-							err = js.SubmitAdditiveBid(catalog[r.Intn(len(catalog))].ID,
-								core.OnlineBid{User: user, Start: start, End: end, Values: vals})
-						} else {
-							err = js.SubmitSubstitutiveBid(core.OnlineSubstBid{
-								User: user, Opts: []core.OptID{catalog[r.Intn(len(catalog))].ID},
-								Start: start, End: end, Values: vals})
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						user++
-						snap()
-					}
-					if now > 0 && r.Intn(10) == 0 {
-						if _, err := js.ClosePeriod(); err != nil {
-							t.Fatal(err)
-						}
-						snap()
-						break
-					}
-					if _, err := js.AdvanceSlot(); err != nil {
-						t.Fatal(err)
-					}
-					snap()
-				}
-			}
-			verifyCrashBoundaries(t, m.Bytes(), snaps, func(recs []Record) (string, error) {
-				rec, err := RecoverPeriodManager(recs, policy, io.Discard)
-				if err != nil {
-					return "", err
-				}
-				return snapshotManager(rec), nil
-			})
-		})
-	}
-}
-
-// TestRecoverPolicyDiverged recovers a maintenance-discount journal with
-// a different policy: the journaled period-2 costs cannot be reproduced
-// and recovery must refuse with ErrPolicyDiverged.
-func TestRecoverPolicyDiverged(t *testing.T) {
-	policy, err := sharedopt.MaintenanceDiscount(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
-	var m MemLog
-	jm, err := NewJournaledPeriodManager(sharedopt.Additive, catalog, 1, policy, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := jm.StartPeriod()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := js.SubmitAdditiveBid(1, core.OnlineBid{
-		User: 1, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(12)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := js.AdvanceSlot(); err != nil { // implements opt 1, closes period
-		t.Fatal(err)
-	}
-	if _, err := jm.StartPeriod(); err != nil { // period 2: discounted to $5
-		t.Fatal(err)
-	}
-	recs, _, _ := ReadJournal(m.Bytes())
-	if _, err := RecoverPeriodManager(recs, policy, io.Discard); err != nil {
-		t.Fatalf("recovery with the original policy: %v", err)
-	}
-	if _, err := RecoverPeriodManager(recs, sharedopt.FixedCost, io.Discard); !errors.Is(err, ErrPolicyDiverged) {
-		t.Fatalf("recovery with a different policy: got %v, want ErrPolicyDiverged", err)
-	}
-}
-
 // TestRecoverIdempotentDuplicateAfterRecovery checks the idempotency
-// fingerprints survive recovery: a duplicate of a pre-crash bid is still
-// a no-op on the recovered service.
+// fingerprints survive shard recovery: a duplicate of a pre-crash bid is
+// still a no-op on the recovered host.
 func TestRecoverIdempotentDuplicateAfterRecovery(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
 	var m MemLog
-	js, err := NewJournaledService(sharedopt.Additive, catalog, 3, &m)
+	h, err := NewShardHost(sharedopt.Additive, catalog, 3, 0, 1, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bid := core.OnlineBid{User: 4, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(3)}}
-	if err := js.SubmitAdditiveBid(1, bid); err != nil {
+	first, err := submitBid(h, bid)
+	if err != nil {
 		t.Fatal(err)
 	}
 	recs, _, _ := ReadJournal(m.Bytes())
-	rec, err := RecoverService(recs, &m)
+	rec, err := RecoverShardHost(recs, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := m.Len()
-	if err := rec.SubmitAdditiveBid(1, bid); err != nil {
+	dup, err := submitBid(rec, bid)
+	if err != nil {
 		t.Fatalf("duplicate after recovery: %v", err)
+	}
+	if dup.Fresh || dup.Seq != first.Seq {
+		t.Fatalf("duplicate after recovery acknowledged as %+v, want the original %+v", dup, first)
 	}
 	if m.Len() != before {
 		t.Fatal("duplicate after recovery appended a record")
@@ -444,34 +199,29 @@ func TestRecoverIdempotentDuplicateAfterRecovery(t *testing.T) {
 	// A genuine revision (raised value) is NOT a duplicate and must
 	// journal a new record.
 	raised := core.OnlineBid{User: 4, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(5)}}
-	if err := rec.SubmitAdditiveBid(1, raised); err != nil {
-		t.Fatal(err)
+	if res, err := submitBid(rec, raised); err != nil || !res.Fresh {
+		t.Fatalf("revision after recovery: %+v, %v", res, err)
 	}
 	if m.Len() == before {
 		t.Fatal("revision was swallowed as a duplicate")
 	}
 }
 
-// TestRecoverRejectsWrongJournalType ensures service and manager
-// recovery refuse each other's journals.
+// TestRecoverRejectsWrongJournalType ensures shard and tier recovery
+// refuse a journal that does not open with a shard config record, and
+// an empty one.
 func TestRecoverRejectsWrongJournalType(t *testing.T) {
-	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
-	var svcLog, mgrLog MemLog
-	if _, err := NewJournaledService(sharedopt.Additive, catalog, 2, &svcLog); err != nil {
-		t.Fatal(err)
+	foreign := shardedRecordSeq([]Record{
+		{Kind: "svc", Game: "additive", Horizon: 2, Opts: []OptCost{{ID: 1, Cost: econ.FromDollars(10)}}},
+		{Kind: KindAdvanceSlot},
+	})
+	if _, err := RecoverShardHost(foreign, io.Discard); err == nil {
+		t.Fatal("RecoverShardHost accepted a journal without a shard config")
 	}
-	if _, err := NewJournaledPeriodManager(sharedopt.Additive, catalog, 2, nil, &mgrLog); err != nil {
-		t.Fatal(err)
+	if _, err := recoverOne(foreign, io.Discard); err == nil {
+		t.Fatal("RecoverShardedService accepted a journal without a shard config")
 	}
-	svcRecs, _, _ := ReadJournal(svcLog.Bytes())
-	mgrRecs, _, _ := ReadJournal(mgrLog.Bytes())
-	if _, err := RecoverService(mgrRecs, io.Discard); err == nil {
-		t.Fatal("RecoverService accepted a manager journal")
-	}
-	if _, err := RecoverPeriodManager(svcRecs, nil, io.Discard); err == nil {
-		t.Fatal("RecoverPeriodManager accepted a service journal")
-	}
-	if _, err := RecoverService(nil, io.Discard); !errors.Is(err, ErrEmptyJournal) {
+	if _, err := RecoverShardHost(nil, io.Discard); !errors.Is(err, ErrEmptyJournal) {
 		t.Fatal("empty journal not rejected")
 	}
 }

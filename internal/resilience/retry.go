@@ -56,9 +56,9 @@ func (b Backoff) withDefaults() Backoff {
 
 // Retryable reports whether err is worth retrying: admission-control
 // rejections (ErrOverloaded) are transient by construction. Mechanism
-// rejections, ErrJournalBroken and ErrClosed are permanent. Retrying a
-// submission that may or may not have been applied is safe against a
-// journaled service because duplicate submissions are idempotent no-ops.
+// rejections, ErrJournalBroken and ErrShardWedged are permanent. Retrying
+// a submission that may or may not have been journaled is safe because
+// duplicate submissions are idempotent no-ops.
 func Retryable(err error) bool { return errors.Is(err, ErrOverloaded) }
 
 // Retry runs op until it succeeds, fails permanently, exhausts

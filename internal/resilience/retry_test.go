@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
+	"sharedopt"
 	"sharedopt/internal/core"
+	"sharedopt/internal/econ"
 )
 
 // TestRetryBackoffSchedule checks the capped doubling schedule without
@@ -68,7 +71,7 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 	if !errors.Is(err, permanent) || calls != 1 {
 		t.Fatalf("err=%v calls=%d, want the permanent error after 1 call", err, calls)
 	}
-	for _, e := range []error{ErrJournalBroken, ErrClosed, permanent, nil} {
+	for _, e := range []error{ErrJournalBroken, ErrShardWedged, permanent, nil} {
 		if Retryable(e) {
 			t.Fatalf("Retryable(%v) = true", e)
 		}
@@ -103,36 +106,42 @@ func TestRetryHonorsContext(t *testing.T) {
 }
 
 // TestRetryAgainstSaturatedIngest is the integration case the contract
-// promises: a blind retry loop against a saturated front end eventually
-// lands its bid exactly once.
+// promises: a blind retry loop against a saturated tier — a one-shard
+// ShardedService whose between-slots batch is full — keeps bouncing with
+// ErrOverloaded until settlement drains the batch, then lands its bid
+// exactly once.
 func TestRetryAgainstSaturatedIngest(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 64)
-	in, js, m := newIngestFixture(t, 1, func() { entered <- struct{}{}; <-gate })
-
-	// Saturate: one bid parked in the worker, one in the queue.
-	for u := 100; u < 102; u++ {
-		go in.SubmitAdditive(1, bidFor(core.UserID(u)))
+	var m MemLog
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
+	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, []io.Writer{&m}, ShardedConfig{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-entered
-
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(context.Background(),
-			Backoff{Attempts: 1000, Sleep: func(time.Duration) { time.Sleep(100 * time.Microsecond) }},
-			func() error { return in.SubmitAdditive(1, bidFor(7)) })
-	}()
-	// Give the retry loop time to bounce off the full queue, then drain.
-	time.Sleep(5 * time.Millisecond)
-	close(gate)
-	if err := <-done; err != nil {
+	if err := ss.SubmitAdditiveBid(1, bidFor(100)); err != nil {
+		t.Fatal(err)
+	}
+	bid := core.OnlineBid{User: 7, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(3)}}
+	attempts := 0
+	err = Retry(context.Background(), Backoff{Attempts: 10, Sleep: func(time.Duration) {
+		if attempts == 3 {
+			// Settlement drains the full batch while the client backs off.
+			if _, err := ss.AdvanceSlot(); err != nil {
+				t.Error(err)
+			}
+		}
+	}}, func() error {
+		attempts++
+		return ss.SubmitAdditiveBid(1, bid)
+	})
+	if err != nil {
 		t.Fatalf("retried submission never landed: %v", err)
 	}
-	st := in.Stats()
-	if st.Overloaded == 0 {
-		t.Fatal("retry test never saw ErrOverloaded")
+	if attempts != 4 {
+		t.Fatalf("landed after %d attempts, want 4 (3 bounced off the full batch)", attempts)
 	}
-	in.Close()
+	if st := ss.ShardStats()[0]; st.Overloaded != 3 || st.Accepted != 2 {
+		t.Fatalf("counters = %+v, want Overloaded=3 Accepted=2", st)
+	}
 	// Exactly one journal record for user 7 despite the blind retries.
 	recs, _, torn := ReadJournal(m.Bytes())
 	if torn {
@@ -147,8 +156,8 @@ func TestRetryAgainstSaturatedIngest(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("user 7 journaled %d times, want exactly 1", got)
 	}
-	if js.Broken() != nil {
-		t.Fatal("journal wedged during retry test")
+	if w := ss.WedgedShards(); len(w) != 0 {
+		t.Fatalf("shards %v wedged during retry test", w)
 	}
 }
 

@@ -4,27 +4,29 @@ package resilience
 // shards and talks to each through a ShardTransport (see transport.go):
 // in-process ShardHost loopbacks by default, TCP clients when the shards
 // live in other processes. Shards are the durability and admission
-// authority: a submission routes to its user's shard, is validated and
-// applied against that shard's replica, journaled in that shard's log,
-// and buffered in the router's between-slots batch. Settlement is
-// global: AdvanceSlot freezes every shard's batch behind one durable adv
-// marker per shard (shard-index order), then folds the frozen batches —
-// shard index order outside, journal order within a shard — into a
-// single derived settlement game and advances it. The settlement game is
-// never journaled; it is a pure deterministic function of the N
-// journals, which is what makes invoices, surplus, and implemented sets
-// byte-identical to the equivalent single-shard run at any shard count.
+// authority: a submission routes to its user's shard, is judged by that
+// shard's validator (the mechanism's admission rules over its users'
+// declared curves), journaled in that shard's log, and buffered in the
+// router's between-slots batch. Settlement alone runs the mechanism, and
+// it is global: AdvanceSlot freezes every shard's batch behind one
+// durable adv marker per shard (shard-index order), then folds the
+// frozen batches — shard index order outside, journal order within a
+// shard — into a single derived settlement game and advances it. The
+// settlement game is never journaled; it is a pure deterministic
+// function of the N journals, which is what makes invoices, surplus, and
+// implemented sets byte-identical to the equivalent single-shard run at
+// any shard count.
 //
-// Failure is partial by design, and now two-axis. A journal append
-// failure or settlement-time policy divergence wedges only the shard it
-// happened on — fail-stop, ErrShardWedged, that shard's users read-only
-// while the rest keep settling. A transport failure (deadline, dropped
-// connection, breaker open) is transient — ErrShardUnavailable: the
-// submit's fate is in doubt and the router resolves it by idempotent
-// resubmission at the next settlement; a settlement round with an
-// unreachable shard parks durably-marked shards and retries until the
-// stragglers answer. Only when every shard is wedged does the tier as a
-// whole refuse mutations.
+// Failure is partial by design, and two-axis. A journal append failure
+// (or a journal the settlement game cannot fold, ErrPolicyDiverged)
+// wedges only the shard it happened on — fail-stop, ErrShardWedged,
+// that shard's users read-only while the rest keep settling. A transport
+// failure (deadline, dropped connection, breaker open) is transient —
+// ErrShardUnavailable: the submit's fate is in doubt and the router
+// resolves it by idempotent resubmission at the next settlement; a
+// settlement round with an unreachable shard parks durably-marked shards
+// and retries until the stragglers answer. Only when every shard is
+// wedged does the tier as a whole refuse mutations.
 
 import (
 	"context"
@@ -46,6 +48,21 @@ import (
 // policy. The tier serves that shard's users read-only; other shards are
 // unaffected. Errors wrapping it name the shard index and cause.
 var ErrShardWedged = errors.New("resilience: shard wedged, serving its users read-only")
+
+// ErrOverloaded is the typed admission-control rejection: the shard's
+// between-slots batch is full and the submission was NOT journaled. It is
+// the only way a submission is turned away under load — nothing is ever
+// silently dropped — and it is retryable (see Retry), safely so because
+// accepted submissions are journaled idempotently.
+var ErrOverloaded = errors.New("resilience: ingestion queue overloaded")
+
+// ErrPolicyDiverged marks a shard whose journaled bids the settlement
+// game refuses to fold. Shards admit bids with the same rules settlement
+// applies, so journals this code writes never trip it: it detects
+// journals it cannot have written — one user's bids split across shards
+// by a different router, a hand-edited or foreign log — and wedges that
+// shard instead of failing the tier.
+var ErrPolicyDiverged = errors.New("resilience: journaled bids diverged from the settlement policy")
 
 // ShardFor deterministically routes a user to one of shards shards. The
 // function is part of the durable contract: recovery regroups users by
@@ -187,8 +204,8 @@ const (
 	phaseClose
 )
 
-// ShardedService is the N-shard durable pricing tier. It satisfies the
-// Backend interface, so it drops into the Ingest front end unchanged.
+// ShardedService is the N-shard durable pricing tier; at N = 1 it is the
+// single-journal tier.
 type ShardedService struct {
 	mu       sync.Mutex // serializes settlement (AdvanceSlot/ClosePeriod)
 	kind     sharedopt.GameKind
@@ -199,6 +216,47 @@ type ShardedService struct {
 	shards   []*shard
 	settle   *sharedopt.Service // derived global game; never journaled
 	tm       tierMetrics        // zero value when uninstrumented
+}
+
+// gameName maps a kind to its journaled name.
+func gameName(kind sharedopt.GameKind) string { return kind.String() }
+
+// gameKind parses a journaled game name.
+func gameKind(name string) (sharedopt.GameKind, error) {
+	switch name {
+	case sharedopt.Additive.String():
+		return sharedopt.Additive, nil
+	case sharedopt.Substitutive.String():
+		return sharedopt.Substitutive, nil
+	default:
+		return 0, fmt.Errorf("resilience: unknown game kind %q", name)
+	}
+}
+
+// optCosts converts a catalog to its journaled form.
+func optCosts(opts []sharedopt.Optimization) []OptCost {
+	out := make([]OptCost, len(opts))
+	for i, o := range opts {
+		out[i] = OptCost{ID: o.ID, Cost: o.Cost}
+	}
+	return out
+}
+
+// catalogOf converts journaled costs back to a catalog.
+func catalogOf(opts []OptCost) []sharedopt.Optimization {
+	out := make([]sharedopt.Optimization, len(opts))
+	for i, o := range opts {
+		out[i] = sharedopt.Optimization{ID: o.ID, Cost: o.Cost}
+	}
+	return out
+}
+
+// newService constructs the settlement game for a kind.
+func newService(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizon sharedopt.Slot) (*sharedopt.Service, error) {
+	if kind == sharedopt.Additive {
+		return sharedopt.NewAdditiveService(opts, horizon)
+	}
+	return sharedopt.NewSubstitutiveService(opts, horizon)
 }
 
 // shardConfigRecord builds shard i's opening journal record.
@@ -229,19 +287,24 @@ func NewShardedService(kind sharedopt.GameKind, opts []sharedopt.Optimization, h
 	}
 	links := make([]ShardTransport, n)
 	for i, w := range writers {
-		if cfg.Obs != nil {
-			// Observe every durable write's latency (the fsync, on a
-			// FileLog). TimedWriter passes bytes through untouched, so
-			// the journal image is identical with or without it.
-			w = obs.TimedWriter{W: w, H: cfg.Obs.Histogram(fmt.Sprintf("shard%d.journal_write_ns", i), nil)}
-		}
-		h, err := NewShardHost(kind, opts, horizon, i, n, w)
+		h, err := NewShardHost(kind, opts, horizon, i, n, timedJournal(w, cfg.Obs, i))
 		if err != nil {
 			return nil, err
 		}
 		links[i] = h
 	}
 	return NewShardedServiceOver(kind, opts, horizon, links, cfg)
+}
+
+// timedJournal wraps shard i's journal target so that, with a registry,
+// every durable write's latency (the fsync, on a FileLog) lands in
+// shard<i>.journal_write_ns. TimedWriter passes bytes through untouched,
+// so the journal image is identical with or without it.
+func timedJournal(w io.Writer, reg *obs.Registry, i int) io.Writer {
+	if reg == nil {
+		return w
+	}
+	return obs.TimedWriter{W: w, H: reg.Histogram(fmt.Sprintf("shard%d.journal_write_ns", i), nil)}
 }
 
 // NewShardedServiceOver opens a sharded tier over caller-provided shard
@@ -469,12 +532,11 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 }
 
 // foldBatchLocked replays one shard's frozen batch into the settlement
-// game. The journal holds only accepted bids, so a settlement rejection
-// means the shard's history diverged from global policy (e.g. a user's
-// bids were split across shards by a router change): the shard is wedged
-// with ErrPolicyDiverged and the rest of its batch is skipped — the same
-// rule recovery applies, so live and recovered settlement agree. s.mu
-// and sh.mu must be held.
+// game. The shard admitted every bid under the rules settlement applies,
+// so a rejection here means the journal is one this code cannot have
+// written (ErrPolicyDiverged): the shard is wedged and the rest of its
+// batch is skipped — the same rule recovery applies, so live and
+// recovered settlement agree. s.mu and sh.mu must be held.
 func (s *ShardedService) foldBatchLocked(i int, batch []pendingBid) {
 	sh := s.shards[i]
 	for k, p := range batch {
@@ -756,8 +818,8 @@ func (s *ShardedService) ClosePeriod() (map[core.UserID]econ.Money, error) {
 }
 
 // The read side delegates to the derived settlement game, which carries
-// the global economic state (the shard replicas only validate and
-// deduplicate).
+// the global economic state (the shards only validate, deduplicate and
+// journal).
 
 // Kind returns the tier's valuation model.
 func (s *ShardedService) Kind() sharedopt.GameKind { return s.kind }

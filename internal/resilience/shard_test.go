@@ -1,19 +1,17 @@
 package resilience
 
-// The sharding property: a ShardedService must price exactly like the
-// single-shard JournaledService — invoices, surplus, and implemented
-// sets byte-identical at every settlement point, for any shard count —
-// while degrading per shard, not per tier, under partial failure.
+// The sharding property: a ShardedService must price exactly like one
+// plain sharedopt.Service — invoices, surplus, and implemented sets
+// byte-identical at every settlement point, for any shard count — while
+// degrading per shard, not per tier, under partial failure.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"sharedopt"
 	"sharedopt/internal/core"
@@ -32,8 +30,6 @@ type pricedState interface {
 	ImplementedOpts() []core.OptID
 	Invoices() map[core.UserID]econ.Money
 }
-
-var _ Backend = (*ShardedService)(nil)
 
 // snapshotTier renders the complete priced state of any tier flavor.
 func snapshotTier(s pricedState) string {
@@ -136,10 +132,15 @@ func buildTierOps(seed uint64, kind sharedopt.GameKind, catalog []sharedopt.Opti
 	return ops
 }
 
-// tierBackend is Backend plus the clock reads applyTierOps needs to
-// skip already-settled work when re-driving a script after recovery.
+// tierBackend is the mutation surface applyTierOps drives, plus the
+// clock reads it needs to skip already-settled work when re-driving a
+// script after recovery. Both ShardedService and sharedopt.Service
+// satisfy it.
 type tierBackend interface {
-	Backend
+	SubmitAdditiveBid(opt core.OptID, bid core.OnlineBid) error
+	SubmitSubstitutiveBid(bid core.OnlineSubstBid) error
+	AdvanceSlot() (core.SlotReport, error)
+	ClosePeriod() (map[core.UserID]econ.Money, error)
 	Now() core.Slot
 	Closed() bool
 }
@@ -220,12 +221,22 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 				horizon := core.Slot(4 + r.Intn(4))
 				ops := buildTierOps(seed*977+uint64(kind), kind, catalog, horizon)
 
-				ref, err := NewJournaledService(kind, catalog, horizon, io.Discard)
+				// The reference is one plain Service. It has no dedup, so
+				// it is driven without the exact-duplicate ops: a
+				// duplicate changes no state, and once its slot has passed
+				// a plain Service would refuse it as retroactive.
+				ref, err := newService(kind, catalog, horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var refOps []tierOp
+				for _, op := range ops {
+					if op.kind != sopDup {
+						refOps = append(refOps, op)
+					}
+				}
 				var refSnaps []string
-				applyTierOps(t, ops, ref, kind, true, func() {
+				applyTierOps(t, refOps, ref, kind, true, func() {
 					refSnaps = append(refSnaps, snapshotTier(ref))
 				})
 
@@ -482,17 +493,17 @@ func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewJournaledService(sharedopt.Additive, catalog, 4, io.Discard)
+	ref, err := sharedopt.NewAdditiveService(catalog, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := userOnShard(1, 2, 0)
 	bid := shardBid(u)
+	if err := ref.SubmitAdditiveBid(1, bid); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ { // once fresh, twice duplicate
 		if err := ss.SubmitAdditiveBid(1, bid); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.SubmitAdditiveBid(1, bid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -508,34 +519,5 @@ func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	st := ss.ShardStats()
 	if st[1].Accepted != 1 || st[1].Settled != 1 {
 		t.Fatalf("shard 1 counters = %+v, want Accepted=1 Settled=1", st[1])
-	}
-}
-
-// TestShardedIngestFrontEnd: the sharded tier satisfies Backend, so the
-// admission-controlled Ingest front end drives it unchanged.
-func TestShardedIngestFrontEnd(t *testing.T) {
-	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	_, ws := memWriters(2)
-	ss, err := NewShardedService(sharedopt.Additive, catalog, 3, ws, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewIngest(ss, IngestConfig{Queue: 8})
-	defer in.Close()
-	for u := core.UserID(1); u <= 6; u++ {
-		if err := in.SubmitAdditive(1, shardBid(u)); err != nil {
-			t.Fatalf("ingest submit user %d: %v", u, err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := in.AdvanceSlot(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Stats().Accepted; got != 6 {
-		t.Fatalf("front end accepted %d, want 6", got)
-	}
-	if inv := ss.Invoices(); len(inv) != 6 {
-		t.Fatalf("settled %d invoices, want 6", len(inv))
 	}
 }

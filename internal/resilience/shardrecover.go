@@ -9,10 +9,10 @@ package resilience
 //     and shard count agree with the others. An empty journal is a
 //     creation crash — its config write never completed, so nothing on
 //     it was ever acknowledged and it is re-seeded in place.
-//  2. Each shard's record prefix is replayed into a fresh replica,
-//     grouping its accepted bids into settlement windows: the bids
-//     between consecutive adv markers. The shard's frontier is its adv
-//     count.
+//  2. Each shard's record prefix is replayed into a fresh ShardHost
+//     (RecoverShardHost: validator, dedup, journal), and its accepted
+//     bids are grouped into settlement windows: the bids between
+//     consecutive adv markers. The shard's frontier is its adv count.
 //  3. The reconciled slot S is the maximum frontier: an advance with at
 //     least one durable adv marker was acknowledged (the marker is
 //     written before the advance returns), so like an in-doubt
@@ -25,17 +25,17 @@ package resilience
 //     order, the same canonical order live settlement uses, then the
 //     tails of shards already at S become their live batches again (or
 //     fold and close, if any shard journaled a close).
-//  5. Lagging journals are rolled forward — the missing adv/close
-//     markers are appended — so all N journals agree afterwards.
+//  5. Lagging journals are rolled forward — the hosts append the
+//     missing adv/close markers — so all N journals agree afterwards.
 //
 // A bid the settlement game rejects wedges its shard with
-// ErrPolicyDiverged (the same degradation rule as live settlement);
-// a journal that contradicts the protocol (a closed shard behind the
-// frontier, records after a close, a config mismatch) fails recovery
-// as corrupt.
+// ErrPolicyDiverged (the same degradation rule as live settlement; only
+// journals this code cannot have written trip it); a journal that
+// contradicts the protocol (a closed shard behind the frontier, records
+// after a close, a config mismatch) fails recovery as corrupt.
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"io"
 
@@ -61,7 +61,6 @@ type shardReplay struct {
 	windows [][]pendingBid
 	tail    []pendingBid
 	closed  bool
-	bids    uint64
 }
 
 // pendingFromRecord converts a journaled bid back into batch form,
@@ -136,65 +135,53 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 		timeout:  cfg.CallTimeout,
 		shards:   make([]*shard, n),
 		settle:   settle,
+		tm:       newTierMetrics(cfg.Obs),
 	}
 
-	// Replay each shard's prefix into a fresh replica host, grouping its
-	// bids into settlement windows. The recovered tier fronts its hosts
-	// with in-process loopback transports.
-	hosts := make([]*ShardHost, n)
+	// Replay each shard's prefix into a fresh host, and group its bids
+	// into settlement windows. The recovered tier fronts its hosts with
+	// in-process loopback transports.
 	reps := make([]shardReplay, n)
-	for i := range journals {
-		replica, err := newService(kind, catalog, tierCfg.Horizon)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: corrupt journal: config rejected: %w", err)
-		}
-		recs := journals[i]
+	for i, recs := range journals {
+		w := timedJournal(writers[i], cfg.Obs, i)
 		if len(recs) == 0 {
 			// Creation crash: nothing durable was ever acknowledged on
 			// this shard. Re-seed its config record; if even that write
 			// fails the shard comes up wedged instead of sinking the tier.
-			j := NewJournal(writers[i])
-			hosts[i] = &ShardHost{js: newJournaledOn(replica, j), shard: i, shards: n, opts: tierCfg.Opts}
-			s.shards[i] = newShard(hosts[i], shardMetrics{})
-			if err := j.Append(shardConfigRecord(kind, catalog, tierCfg.Horizon, i, n)); err != nil {
+			c := shardConfigRecord(kind, catalog, tierCfg.Horizon, i, n)
+			host := newShardHost(c, kind, NewJournal(w))
+			s.shards[i] = newShard(host, newShardMetrics(cfg.Obs, i))
+			if err := host.j.Append(c); err != nil {
 				s.wedgeLocked(i, err)
 			}
 			continue
 		}
-		host := &ShardHost{
-			js:     newJournaledOn(replica, NewJournalAt(writers[i], recs[len(recs)-1].Seq)),
-			shard:  i,
-			shards: n,
-			opts:   tierCfg.Opts,
+		host, err := RecoverShardHost(recs, w)
+		if err != nil {
+			return nil, err
 		}
-		hosts[i] = host
-		sh := newShard(host, shardMetrics{})
+		sh := newShard(host, newShardMetrics(cfg.Obs, i))
 		s.shards[i] = sh
 		rep := &reps[i]
 		for _, rec := range recs[1:] {
-			if rep.closed {
-				return nil, errCorrupt(rec, errors.New("record after close marker"))
-			}
 			switch rec.Kind {
 			case KindAdditiveBid, KindSubstBid:
 				rep.tail = append(rep.tail, pendingFromRecord(rec))
-				rep.bids++
 			case KindAdvanceSlot:
 				rep.windows = append(rep.windows, rep.tail)
 				rep.tail = nil
 			case KindClosePeriod:
 				rep.closed = true
 			}
-			if err := host.js.applyRecord(rec); err != nil {
-				return nil, err
-			}
 		}
-		host.bids = rep.bids
-		sh.counters.Accepted = rep.bids
+		// Every journaled bid was accepted once; the counters start there.
+		sh.counters.Accepted = host.bids
+		sh.om.accepted.Add(host.bids)
+		s.tm.accepted.Add(host.bids)
 		// Prime the router's dedup set with every journaled bid, so a
 		// client retrying a pre-crash submission is recognized as a
 		// duplicate instead of double-batched.
-		for fp := range host.js.seen {
+		for fp := range host.seen {
 			sh.batched[fp] = true
 		}
 	}
@@ -265,18 +252,20 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 		}
 	}
 
-	// Roll the lagging journals forward so every shard's durable history
-	// agrees with the reconciled frontier (and close). A write failure
-	// here wedges just that shard; the tier still comes up.
+	// Roll the lagging journals forward, through the hosts, so every
+	// shard's durable history agrees with the reconciled frontier (and
+	// close). A write failure here wedges just that shard; the tier still
+	// comes up.
+	ctx := context.Background()
 	for i := range reps {
 		sh := s.shards[i]
 		for w := len(reps[i].windows); w < S && sh.wedged == nil; w++ {
-			if _, err := hosts[i].js.AdvanceSlot(); err != nil {
+			if err := sh.link.Advance(ctx, w+1); err != nil {
 				s.wedgeLocked(i, err)
 			}
 		}
 		if anyClosed && !reps[i].closed && sh.wedged == nil {
-			if _, err := hosts[i].js.ClosePeriod(); err != nil {
+			if err := sh.link.ClosePeriod(ctx); err != nil {
 				s.wedgeLocked(i, err)
 			}
 		}

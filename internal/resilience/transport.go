@@ -4,10 +4,11 @@ package resilience
 // per-shard intake through ShardTransport, an interface small enough to
 // put a network under: submit one bid, make one settlement marker
 // durable, close the period, report state. ShardHost is the server side
-// — the durability authority that owns the shard's journal and replica —
-// and doubles as the in-process loopback transport, which is how the
-// single-address-space tier keeps its exact pre-transport behavior. The
-// TCP client/server pair lives in internal/resilience/transport.
+// — the durability and admission authority that owns the shard's
+// journal and validator — and doubles as the in-process loopback
+// transport, which is how the single-address-space tier keeps its exact
+// pre-transport behavior. The TCP client/server pair lives in
+// internal/resilience/transport.
 //
 // The error contract callers rely on:
 //
@@ -30,6 +31,7 @@ import (
 
 	"sharedopt"
 	"sharedopt/internal/core"
+	"sharedopt/internal/econ"
 )
 
 // ErrShardUnavailable marks a shard transport call that reached no
@@ -80,7 +82,7 @@ type ShardInfo struct {
 // returns an error wrapping ErrShardUnavailable (see the contract at the
 // top of this file).
 type ShardTransport interface {
-	// Submit journals and applies one bid record (KindAdditiveBid or
+	// Submit validates and journals one bid record (KindAdditiveBid or
 	// KindSubstBid). Duplicates of accepted bids succeed with the
 	// original Seq and Fresh == false.
 	Submit(ctx context.Context, rec Record) (SubmitResult, error)
@@ -94,22 +96,43 @@ type ShardTransport interface {
 	Stats(ctx context.Context) (ShardInfo, error)
 }
 
-// ShardHost is one shard's durability authority: the journaled replica
-// that validates, journals, and deduplicates this shard's operations.
-// It implements ShardTransport directly — that is the in-process
-// loopback transport — and transport.ShardServer serves the same host
-// over TCP. Methods are safe for concurrent use.
+// ShardHost is one shard's durability and admission authority. It holds
+// the shard's journal, the fingerprints of the bids journaled so far
+// (dedup), and a core.Validator carrying each of its users' declared
+// curves — everything needed to judge a bid exactly as the settlement
+// game will, without running the mechanism. It implements
+// ShardTransport directly — that is the in-process loopback transport —
+// and transport.ShardServer serves the same host over TCP. Methods are
+// safe for concurrent use.
 type ShardHost struct {
-	mu     sync.Mutex // serializes markers and the bid counter
-	js     *JournaledService
-	shard  int
-	shards int
-	opts   []OptCost
-	bids   uint64
+	mu      sync.Mutex // serializes admission, markers, and journal order
+	kind    sharedopt.GameKind
+	horizon core.Slot
+	shard   int
+	shards  int
+	opts    []OptCost
+	j       *Journal
+	v       *core.Validator
+	// seen maps the fingerprint of each journaled bid to its record's
+	// sequence, so a duplicate delivery — local retry or network — is
+	// acknowledged with the original record's identity.
+	seen map[string]uint64
+	// closing is set once the close marker is journaled.
+	closing bool
+	bids    uint64
 }
 
-// NewShardHost opens a fresh shard: a replica service plus a journal on
-// w opening with the shard's config record.
+// newShardHost builds the in-memory host for the shard that cfg (its
+// journal's config record) describes, appending to j.
+func newShardHost(cfg Record, kind sharedopt.GameKind, j *Journal) *ShardHost {
+	return &ShardHost{
+		kind: kind, horizon: cfg.Horizon, shard: cfg.Shard, shards: cfg.Shards, opts: cfg.Opts,
+		j: j, v: core.NewValidator(catalogOf(cfg.Opts)), seen: make(map[string]uint64),
+	}
+}
+
+// NewShardHost opens a fresh shard whose journal on w opens with the
+// shard's config record.
 func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizon core.Slot, shard, shards int, w io.Writer) (*ShardHost, error) {
 	if kind != sharedopt.Additive && kind != sharedopt.Substitutive {
 		return nil, fmt.Errorf("resilience: unknown game kind %v", kind)
@@ -117,22 +140,34 @@ func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizo
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("resilience: shard index %d out of range for %d shards", shard, shards)
 	}
-	replica, err := newService(kind, opts, horizon)
-	if err != nil {
+	if err := sharedopt.ValidateCatalog(opts, horizon); err != nil {
 		return nil, err
 	}
-	j := NewJournal(w)
-	if err := j.Append(shardConfigRecord(kind, opts, horizon, shard, shards)); err != nil {
+	cfg := shardConfigRecord(kind, opts, horizon, shard, shards)
+	h := newShardHost(cfg, kind, NewJournal(w))
+	if err := h.j.Append(cfg); err != nil {
 		return nil, fmt.Errorf("resilience: shard %d: %w", shard, err)
 	}
-	return &ShardHost{js: newJournaledOn(replica, j), shard: shard, shards: shards, opts: optCosts(opts)}, nil
+	return h, nil
+}
+
+// ErrEmptyJournal is returned by RecoverShardHost and
+// RecoverShardedService when no journal holds a config record to rebuild
+// from.
+var ErrEmptyJournal = errors.New("resilience: empty journal")
+
+// errCorrupt wraps a replay failure: the journal holds only accepted
+// operations, so a record replay rejects means the log is damaged.
+func errCorrupt(rec Record, err error) error {
+	return fmt.Errorf("resilience: corrupt journal: record %d (%s) failed replay: %w", rec.Seq, rec.Kind, err)
 }
 
 // RecoverShardHost rebuilds one shard host from its journal prefix and
 // resumes appending to w — the restart path for a single killed shard
-// process, while RecoverShardedService reconciles a whole tier. The
-// replayed fingerprints restore dedup, so submissions accepted before
-// the crash remain idempotent after it.
+// process, while RecoverShardedService reconciles a whole tier. Replay
+// restores the validator's clock and declared curves and the dedup
+// fingerprints, so submissions accepted before the crash remain
+// idempotent after it.
 func RecoverShardHost(recs []Record, w io.Writer) (*ShardHost, error) {
 	if len(recs) == 0 {
 		return nil, ErrEmptyJournal
@@ -145,25 +180,85 @@ func RecoverShardHost(recs []Record, w io.Writer) (*ShardHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	replica, err := newService(kind, catalogOf(cfg.Opts), cfg.Horizon)
-	if err != nil {
+	if err := sharedopt.ValidateCatalog(catalogOf(cfg.Opts), cfg.Horizon); err != nil {
 		return nil, fmt.Errorf("resilience: corrupt journal: config rejected: %w", err)
 	}
-	h := &ShardHost{
-		js:     newJournaledOn(replica, NewJournalAt(w, recs[len(recs)-1].Seq)),
-		shard:  cfg.Shard,
-		shards: cfg.Shards,
-		opts:   cfg.Opts,
-	}
+	h := newShardHost(cfg, kind, NewJournalAt(w, recs[len(recs)-1].Seq))
 	for _, rec := range recs[1:] {
-		if rec.Kind == KindAdditiveBid || rec.Kind == KindSubstBid {
-			h.bids++
-		}
-		if err := h.js.applyRecord(rec); err != nil {
+		if err := h.replay(rec); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
+}
+
+// replay re-applies one journaled record exactly as its original accept
+// did.
+func (h *ShardHost) replay(rec Record) error {
+	if h.closing {
+		return errCorrupt(rec, errors.New("record after close marker"))
+	}
+	switch rec.Kind {
+	case KindAdditiveBid, KindSubstBid:
+		if err := h.admit(rec); err != nil {
+			return errCorrupt(rec, err)
+		}
+		h.seen[rec.fingerprint()] = rec.Seq
+		h.bids++
+	case KindAdvanceSlot:
+		if h.closed() {
+			return errCorrupt(rec, sharedopt.ErrPeriodOver)
+		}
+		h.v.Advance()
+	case KindClosePeriod:
+		h.closing = true
+	default:
+		return fmt.Errorf("resilience: corrupt journal: unexpected %s record %d", rec.Kind, rec.Seq)
+	}
+	return nil
+}
+
+// closed reports whether the period is over: every horizon slot settled,
+// or the close marker journaled.
+func (h *ShardHost) closed() bool { return h.closing || h.v.Now() >= h.horizon }
+
+// admit judges a bid record with the checks a plain sharedopt.Service
+// makes, in its order and with its error text — period over, game kind,
+// then the mechanism's admission rules — and records it in the validator
+// if admitted.
+func (h *ShardHost) admit(rec Record) error {
+	if h.closed() {
+		return sharedopt.ErrPeriodOver
+	}
+	if rec.Kind == KindAdditiveBid {
+		if h.kind != sharedopt.Additive {
+			return fmt.Errorf("sharedopt: additive bid on a %v service", h.kind)
+		}
+		return h.v.AdmitAdditive(rec.Opt, core.OnlineBid{User: rec.User, Start: rec.Start, End: rec.End, Values: rec.Values})
+	}
+	if h.kind != sharedopt.Substitutive {
+		return fmt.Errorf("sharedopt: substitutive bid on a %v service", h.kind)
+	}
+	return h.v.AdmitSubstitutive(core.OnlineSubstBid{User: rec.User, Opts: rec.Set, Start: rec.Start, End: rec.End, Values: rec.Values})
+}
+
+// additiveBidRecord builds the journal record of an additive submission.
+func additiveBidRecord(opt core.OptID, bid core.OnlineBid) Record {
+	return Record{
+		Kind: KindAdditiveBid, User: bid.User, Opt: opt,
+		Start: bid.Start, End: bid.End,
+		Values: append([]econ.Money(nil), bid.Values...),
+	}
+}
+
+// substBidRecord builds the journal record of a substitutive submission.
+func substBidRecord(bid core.OnlineSubstBid) Record {
+	return Record{
+		Kind: KindSubstBid, User: bid.User,
+		Set:   append([]core.OptID(nil), bid.Opts...),
+		Start: bid.Start, End: bid.End,
+		Values: append([]econ.Money(nil), bid.Values...),
+	}
 }
 
 // brokenErr classifies a shard mutation failure for the wire: the first
@@ -174,10 +269,18 @@ func (h *ShardHost) brokenErr(err error) error {
 	if err == nil || errors.Is(err, ErrJournalBroken) {
 		return err
 	}
-	if h.js.Broken() != nil {
+	if h.j.Err() != nil {
 		return fmt.Errorf("%w: %w", ErrJournalBroken, err)
 	}
 	return err
+}
+
+// errIfBroken refuses every mutation once the journal is broken.
+func (h *ShardHost) errIfBroken() error {
+	if err := h.j.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrJournalBroken, err)
+	}
+	return nil
 }
 
 // unavailableErr wraps a context failure as transport-level
@@ -186,28 +289,46 @@ func unavailableErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrShardUnavailable, err)
 }
 
-// Submit implements ShardTransport: validate routing, then run the
-// journal's accept-then-journal protocol with fingerprint dedup.
+// Submit implements ShardTransport: check routing, then run the
+// accept-then-journal protocol with fingerprint dedup. The record is
+// rebuilt in canonical form first, so a delivery's fingerprint is the
+// same whichever transport carried it.
 func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SubmitResult{}, unavailableErr(err)
 	}
-	if rec.Kind != KindAdditiveBid && rec.Kind != KindSubstBid {
+	switch rec.Kind {
+	case KindAdditiveBid:
+		rec = additiveBidRecord(rec.Opt, core.OnlineBid{User: rec.User, Start: rec.Start, End: rec.End, Values: rec.Values})
+	case KindSubstBid:
+		rec = substBidRecord(core.OnlineSubstBid{User: rec.User, Opts: rec.Set, Start: rec.Start, End: rec.End, Values: rec.Values})
+	default:
 		return SubmitResult{}, fmt.Errorf("resilience: shard %d: submit of non-bid %s record", h.shard, rec.Kind)
 	}
 	if got := ShardFor(rec.User, h.shards); got != h.shard {
 		return SubmitResult{}, fmt.Errorf("resilience: user %d routes to shard %d, delivered to shard %d", rec.User, got, h.shard)
 	}
-	seq, fresh, err := h.js.SubmitRecord(rec)
-	if err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.errIfBroken(); err != nil {
+		return SubmitResult{}, err
+	}
+	fp := rec.fingerprint()
+	if seq, ok := h.seen[fp]; ok {
+		return SubmitResult{Seq: seq}, nil
+	}
+	if err := h.admit(rec); err != nil {
+		return SubmitResult{}, err
+	}
+	if err := h.j.Append(rec); err != nil {
 		return SubmitResult{}, h.brokenErr(err)
 	}
-	if fresh {
-		h.mu.Lock()
-		h.bids++
-		h.mu.Unlock()
-	}
-	return SubmitResult{Seq: seq, Fresh: fresh}, nil
+	// Append assigned the record the journal's next sequence number; read
+	// it back so the acknowledgment names the durable position.
+	seq := h.j.Seq()
+	h.seen[fp] = seq
+	h.bids++
+	return SubmitResult{Seq: seq, Fresh: true}, nil
 }
 
 // Advance implements ShardTransport. Windows count 1, 2, 3, …; the
@@ -216,35 +337,48 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 // asks for is durable), which is what makes duplicated or retried
 // marker deliveries safe. A gap of more than one window means the
 // caller and shard disagree on history — a protocol error, not a
-// transient.
+// transient. The marker moves the validator's clock; nothing is priced
+// here.
 func (h *ShardHost) Advance(ctx context.Context, window int) error {
 	if err := ctx.Err(); err != nil {
 		return unavailableErr(err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	now := int(h.js.Now())
+	now := int(h.v.Now())
 	switch {
 	case now >= window:
 		return nil
 	case now == window-1:
-		_, err := h.js.AdvanceSlot()
-		return h.brokenErr(err)
+		if err := h.errIfBroken(); err != nil {
+			return err
+		}
+		if h.closed() {
+			return sharedopt.ErrPeriodOver
+		}
+		h.v.Advance()
+		return h.brokenErr(h.j.Append(Record{Kind: KindAdvanceSlot}))
 	default:
 		return fmt.Errorf("resilience: shard %d at window %d asked to advance to %d", h.shard, now, window)
 	}
 }
 
-// ClosePeriod implements ShardTransport; idempotent like the journaled
-// service underneath.
+// ClosePeriod implements ShardTransport. It is idempotent: a period
+// already over journals nothing.
 func (h *ShardHost) ClosePeriod(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return unavailableErr(err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, err := h.js.ClosePeriod()
-	return h.brokenErr(err)
+	if err := h.errIfBroken(); err != nil {
+		return err
+	}
+	if h.closed() {
+		return nil
+	}
+	h.closing = true
+	return h.brokenErr(h.j.Append(Record{Kind: KindClosePeriod}))
 }
 
 // Stats implements ShardTransport.
@@ -253,24 +387,23 @@ func (h *ShardHost) Stats(ctx context.Context) (ShardInfo, error) {
 		return ShardInfo{}, unavailableErr(err)
 	}
 	h.mu.Lock()
-	bids := h.bids
-	h.mu.Unlock()
+	defer h.mu.Unlock()
 	info := ShardInfo{
 		Shard:   h.shard,
 		Shards:  h.shards,
-		Game:    gameName(h.js.Kind()),
-		Horizon: h.js.Horizon(),
+		Game:    gameName(h.kind),
+		Horizon: h.horizon,
 		Opts:    append([]OptCost(nil), h.opts...),
-		Seq:     h.js.j.Seq(),
-		Now:     h.js.Now(),
-		Closed:  h.js.Closed(),
-		Bids:    bids,
+		Seq:     h.j.Seq(),
+		Now:     h.v.Now(),
+		Closed:  h.closed(),
+		Bids:    h.bids,
 	}
-	if err := h.js.Broken(); err != nil {
+	if err := h.j.Err(); err != nil {
 		info.Broken = err.Error()
 	}
 	return info, nil
 }
 
 // Broken returns the journal failure wedging this host, or nil.
-func (h *ShardHost) Broken() error { return h.js.Broken() }
+func (h *ShardHost) Broken() error { return h.j.Err() }

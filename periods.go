@@ -64,7 +64,7 @@ type PeriodManager struct {
 // horizon slots; policy recomputes costs between periods (nil means
 // FixedCost). Call StartPeriod to open the first period.
 func NewPeriodManager(kind GameKind, catalog []Optimization, horizon Slot, policy CostPolicy) (*PeriodManager, error) {
-	if err := validateServiceOpts(catalog, horizon); err != nil {
+	if err := ValidateCatalog(catalog, horizon); err != nil {
 		return nil, err
 	}
 	if kind != Additive && kind != Substitutive {

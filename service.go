@@ -54,7 +54,7 @@ type Service struct {
 // NewAdditiveService prices the optimizations under additive valuations
 // over a period of horizon slots.
 func NewAdditiveService(opts []Optimization, horizon Slot) (*Service, error) {
-	if err := validateServiceOpts(opts, horizon); err != nil {
+	if err := ValidateCatalog(opts, horizon); err != nil {
 		return nil, err
 	}
 	return &Service{
@@ -68,7 +68,7 @@ func NewAdditiveService(opts []Optimization, horizon Slot) (*Service, error) {
 // NewSubstitutiveService prices the optimizations under substitutive
 // valuations over a period of horizon slots.
 func NewSubstitutiveService(opts []Optimization, horizon Slot) (*Service, error) {
-	if err := validateServiceOpts(opts, horizon); err != nil {
+	if err := ValidateCatalog(opts, horizon); err != nil {
 		return nil, err
 	}
 	return &Service{
@@ -79,7 +79,10 @@ func NewSubstitutiveService(opts []Optimization, horizon Slot) (*Service, error)
 	}, nil
 }
 
-func validateServiceOpts(opts []Optimization, horizon Slot) error {
+// ValidateCatalog reports whether opts and horizon can open a pricing
+// period: a non-empty catalog of valid optimizations with distinct IDs,
+// and a horizon of at least one slot. Both Service constructors check it.
+func ValidateCatalog(opts []Optimization, horizon Slot) error {
 	if len(opts) == 0 {
 		return errors.New("sharedopt: no optimizations")
 	}
