@@ -18,7 +18,7 @@ package main
 //   - durability without duplication: each shard journal holds exactly
 //     one record per accepted bid, even though the network delivered
 //     some submissions twice and retried others blindly — zero
-//     double-journaled fingerprints;
+//     double-journaled bids;
 //   - deterministic joint recovery: recovering the surviving journals
 //     twice yields identical state, equal to the live run's settlement.
 //

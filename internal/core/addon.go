@@ -177,12 +177,15 @@ func (a *AddOn) AdvanceSlot() SlotReport {
 
 	// Charge users whose bid interval ends now. Serviced users pay the
 	// current (lowest so far) share; never-serviced users pay nothing.
+	// A charged user's declared values play no further part, so her
+	// curve is released.
 	share := a.currentShare()
 	for id, u := range a.users {
 		if u.paid || u.end != t {
 			continue
 		}
 		u.paid = true
+		u.release()
 		if u.serviced {
 			u.payment = share
 		}

@@ -82,14 +82,21 @@ func sameOptSet(a, b []OptID) bool {
 // verdict AdditiveGame.Submit or SubstOn.Submit would give in the same
 // state, error text included. A user counts as departed once her curve's
 // end slot has been processed (end ≤ now): that is the slot at which AddOn
-// and SubstOn charge her and mark her paid. Close has no counterpart here;
-// a caller that closes the period refuses later bids itself.
+// and SubstOn charge her and mark her paid. Judging a departed user's bid
+// needs only that interval, so Advance drops the values of the curves
+// ending at the processed slot. Close has no counterpart here; a caller
+// that closes the period refuses later bids itself.
 //
 // A Validator is not safe for concurrent use.
 type Validator struct {
 	now      Slot
 	additive map[OptID]map[UserID]*declared
 	subst    map[UserID]*substDeclared
+	// ends files every declared curve under the end slot it had when
+	// declared or last extended. A revision that extends a curve files
+	// it again; the entry left in the earlier bucket no longer matches
+	// the curve's end and is skipped.
+	ends map[Slot][]*declared
 }
 
 // substDeclared is one substitutive user's declared demand.
@@ -104,6 +111,7 @@ func NewValidator(opts []Optimization) *Validator {
 	v := &Validator{
 		additive: make(map[OptID]map[UserID]*declared, len(opts)),
 		subst:    make(map[UserID]*substDeclared),
+		ends:     make(map[Slot][]*declared),
 	}
 	for _, o := range opts {
 		v.additive[o.ID] = make(map[UserID]*declared)
@@ -114,8 +122,25 @@ func NewValidator(opts []Optimization) *Validator {
 // Now returns the last processed slot.
 func (v *Validator) Now() Slot { return v.now }
 
-// Advance records that the next slot has been processed.
-func (v *Validator) Advance() { v.now++ }
+// Advance records that the next slot has been processed, and releases
+// the values of the curves that end at it.
+func (v *Validator) Advance() {
+	v.now++
+	for _, d := range v.ends[v.now] {
+		if d.end == v.now {
+			d.values = nil
+		}
+	}
+	delete(v.ends, v.now)
+}
+
+// fileByEnd files a curve that was just declared or revised under its
+// end slot, unless it is already filed there (its end was prevEnd).
+func (v *Validator) fileByEnd(d *declared, prevEnd Slot) {
+	if d.end != prevEnd {
+		v.ends[d.end] = append(v.ends[d.end], d)
+	}
+}
 
 // AdmitAdditive judges an additive bid, as AdditiveGame.Submit would, and
 // records it if it is admitted.
@@ -134,12 +159,18 @@ func (v *Validator) AdmitAdditive(opt OptID, bid OnlineBid) error {
 	if d == nil {
 		first := newDeclared(bid)
 		users[bid.User] = &first
+		v.fileByEnd(&first, 0)
 		return nil
 	}
 	if err := checkPresent(bid.User, d.end <= v.now); err != nil {
 		return err
 	}
-	return d.revise(bid, v.now)
+	prevEnd := d.end
+	if err := d.revise(bid, v.now); err != nil {
+		return err
+	}
+	v.fileByEnd(d, prevEnd)
+	return nil
 }
 
 // AdmitSubstitutive judges a substitutive bid, as SubstOn.Submit would,
@@ -157,7 +188,9 @@ func (v *Validator) AdmitSubstitutive(bid OnlineSubstBid) error {
 	}
 	u := v.subst[bid.User]
 	if u == nil {
-		v.subst[bid.User] = &substDeclared{opts: append([]OptID(nil), bid.Opts...), declared: newDeclared(online)}
+		u = &substDeclared{opts: append([]OptID(nil), bid.Opts...), declared: newDeclared(online)}
+		v.subst[bid.User] = u
+		v.fileByEnd(&u.declared, 0)
 		return nil
 	}
 	if err := checkPresent(bid.User, u.end <= v.now); err != nil {
@@ -166,5 +199,10 @@ func (v *Validator) AdmitSubstitutive(bid OnlineSubstBid) error {
 	if err := checkSameSet(bid.User, u.opts, bid.Opts); err != nil {
 		return err
 	}
-	return u.revise(online, v.now)
+	prevEnd := u.end
+	if err := u.revise(online, v.now); err != nil {
+		return err
+	}
+	v.fileByEnd(&u.declared, prevEnd)
+	return nil
 }

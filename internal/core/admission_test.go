@@ -29,16 +29,19 @@ var admissionRules = []string{
 // core.Validator: over seeded op scripts for both game kinds, its verdict
 // on every bid — nil or the exact error text — equals that of the
 // mechanism it stands in for, AdditiveGame or SubstOn, and the scripts
-// between them trip every admission rule.
+// between them trip every admission rule. Some bids arrive after the end
+// slot a user first declared but before the end a revision extended it
+// to, where a curve released at its old end would be judged wrongly.
 func TestValidatorMatchesMechanisms(t *testing.T) {
 	for _, substitutive := range []bool{false, true} {
 		hit := map[string]int{}
-		revisions := 0
+		revisions, outlived := 0, 0
 		for seed := uint64(1); seed <= 40; seed++ {
 			v := core.NewValidator(admissiontest.Catalog())
 			add := core.NewAdditiveGame(admissiontest.Catalog())
 			sub := core.NewSubstOn(admissiontest.Catalog())
 			seen := map[string]bool{}
+			firstEnd, end := map[string]core.Slot{}, map[string]core.Slot{}
 			for i, op := range admissiontest.Script(seed, substitutive, 60) {
 				if op.Advance {
 					v.Advance()
@@ -66,8 +69,17 @@ func TestValidatorMatchesMechanisms(t *testing.T) {
 				if !substitutive {
 					k += fmt.Sprint("/", op.Opt)
 				}
+				if seen[k] && firstEnd[k] <= v.Now() && v.Now() < end[k] {
+					outlived++
+				}
 				if got == nil && seen[k] {
 					revisions++
+				}
+				if got == nil && !seen[k] {
+					firstEnd[k] = op.Bid.End
+				}
+				if got == nil {
+					end[k] = max(end[k], op.Bid.End)
 				}
 				seen[k] = seen[k] || got == nil
 			}
@@ -83,6 +95,9 @@ func TestValidatorMatchesMechanisms(t *testing.T) {
 		}
 		if revisions == 0 {
 			t.Errorf("substitutive=%v: no script made an admitted revision", substitutive)
+		}
+		if outlived == 0 {
+			t.Errorf("substitutive=%v: no bid arrived between a user's first end and her extended end", substitutive)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package admissiontest draws seeded op scripts that exercise every
 // online admission rule — malformed bids, unknown optimizations,
-// retroactive starts, raising and extending revisions, lowered values,
-// shrunk intervals, withdrawn value, bids at and after a user's end slot,
-// and changed substitute sets — for differential tests between the
-// mechanisms, core.Validator, and the durable tier's shard admission.
+// retroactive starts, raising and extending revisions (some outliving
+// the end slot they replace), lowered values, shrunk intervals, withdrawn
+// value, bids at and after a user's end slot, and changed substitute
+// sets — for differential tests between the mechanisms, core.Validator,
+// and the durable tier's shard admission.
 package admissiontest
 
 import (
@@ -149,6 +150,8 @@ func revise(r *stats.RNG, now core.Slot, base Op) Op {
 		start = now
 	case 5: // change the substitute set
 		base.Set = drawSet(r)
+	case 6: // extend the end well past the old one, so the user outlives it
+		end = max(b.End, start) + 2 + core.Slot(r.Intn(2))
 	}
 	if end < start {
 		end = start

@@ -49,6 +49,11 @@ func (c *valueCurve) rebuildSuffix() {
 	}
 }
 
+// release drops the curve's values and residual cache once its user has
+// departed and been charged: no later slot reads them. The interval
+// stays, and residual reads 0 from then on.
+func (c *valueCurve) release() { c.values, c.suffix = nil, nil }
+
 // residual returns the remaining declared value Σ_{τ≥t} b(τ) in O(1).
 func (c *valueCurve) residual(t Slot) econ.Money {
 	if len(c.values) == 0 {

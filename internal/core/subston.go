@@ -185,11 +185,13 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 	}
 	sortGrants(report.Active)
 
+	// Charge users whose interval ends now, releasing their curves.
 	for id, u := range s.users {
 		if u.paid || u.curve.end != t {
 			continue
 		}
 		u.paid = true
+		u.curve.release()
 		if u.granted {
 			u.payment = phases.share[s.optPos[u.grantedOpt]]
 		}

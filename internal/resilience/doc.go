@@ -40,9 +40,14 @@
 // (ShardHost) is a validator, a dedup map, and a journal: the
 // core.Validator applies the online mechanisms' admission rules
 // (retroactive bids, monotone revisions, departures, fixed substitute
-// sets) to its users' declared curves, fingerprint dedup makes a
+// sets) to its users' declared curves, digest dedup makes a
 // resubmission idempotent, and an admitted bid is journaled before it is
-// acknowledged. No shard runs the mechanism. Slot settlement makes one
+// acknowledged. Dedup keys on the SHA-256 of the record's canonical
+// payload (Seq zeroed) and maps it to the record's sequence; that
+// payload is marshaled once per fresh bid and also yields the journal
+// line. The router tells a duplicate acknowledgment from a fresh one by
+// the sequence it carries, and digests a record only when a transport
+// failure leaves it in doubt. No shard runs the mechanism. Slot settlement makes one
 // adv marker durable per shard, then folds every shard's batch into the
 // single derived settlement service in shard-index order, bids within a
 // shard in journal order, and runs the mechanism there, once per slot.
@@ -83,24 +88,26 @@
 // ErrOverloaded — never a silent drop — and ShardCounters carries the
 // exact accounting. ErrOverloaded (and only it) is Retryable; Retry wraps
 // an operation in capped exponential backoff. Blind retries are safe
-// because submissions are idempotent: a resubmission byte-identical to
-// an accepted one returns success without journaling anything, so a
-// client that lost the first acknowledgment cannot double-bid.
+// because submissions are idempotent: a resubmission equal to an
+// accepted one in every field but the sequence returns success with the
+// original sequence and journals nothing, so a client that lost the
+// first acknowledgment cannot double-bid — also after the user's end
+// slot, when the shard keeps only her bid's digest.
 //
 // # Network transport
 //
 // The router/shard seam is the ShardTransport interface: Submit,
 // Advance, ClosePeriod, and Stats with context deadlines. ShardHost
 // implements it in-process (the loopback the plain constructors use);
-// the transport subpackage carries the same
-// calls over a length-prefixed TCP protocol (ShardServer/ShardClient),
+// the transport subpackage carries the same calls over a
+// length-prefixed TCP protocol (ShardServer/ShardClient),
 // and NewShardedServiceOver builds a tier on any mix of links after a
 // Stats handshake verifies each link reaches the shard the router will
 // treat it as. The seam's error contract is three-valued: an error
 // wrapping ErrShardUnavailable means NO DECISION was reached (timeout,
 // connection loss, breaker open) and the caller may retry blindly —
-// submission idempotency via journal fingerprint dedup makes a
-// duplicated delivery journal exactly once, and the re-acknowledgment
+// submission idempotency via digest dedup makes a duplicated
+// delivery journal exactly once, and the re-acknowledgment
 // carries the original sequence number; an error wrapping
 // ErrJournalBroken means the shard fail-stopped and the router wedges
 // it; anything else is a definitive mechanism rejection. The client

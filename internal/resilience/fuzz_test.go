@@ -1,8 +1,10 @@
 package resilience
 
 import (
+	"bytes"
 	"testing"
 
+	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
 )
 
@@ -26,6 +28,13 @@ func FuzzReadJournal(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[12] ^= 0x40 // payload corruption under an intact frame
 	f.Add(flipped)
+	// A bid framed by the encode-once path, as ShardHost.Submit writes it.
+	once, err := encodeCanonical(uint64(len(testRecords()))+1, Record{Kind: KindSubstBid, User: 3,
+		Set: []core.OptID{1, 2}, Start: 2, End: 2, Values: []econ.Money{econ.FromCents(75)}}.canonical())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte(nil), valid...), once...))
 	f.Add([]byte("00000000 {}\n"))
 	f.Add([]byte("deadbeef {\"seq\":1,\"kind\":\"adv\"}\n"))
 
@@ -50,7 +59,7 @@ func FuzzReadJournal(f *testing.F) {
 				torn2, consumed2, consumed, len(again), len(recs))
 		}
 		for i := range recs {
-			if again[i].fingerprint() != recs[i].fingerprint() || again[i].Seq != recs[i].Seq {
+			if !bytes.Equal(again[i].canonical(), recs[i].canonical()) || again[i].Seq != recs[i].Seq {
 				t.Fatalf("record %d differs on re-parse", i)
 			}
 		}

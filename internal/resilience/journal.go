@@ -2,12 +2,16 @@ package resilience
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 
 	"sharedopt/internal/core"
@@ -58,37 +62,59 @@ type Record struct {
 	Values  []econ.Money `json:"values,omitempty"`
 }
 
-// fingerprint is the record's canonical payload with the sequence number
-// zeroed — the identity under which duplicate submissions are detected.
-func (r Record) fingerprint() string {
+// canonicalPrefix opens every canonical payload: Seq is Record's first
+// field and is never omitted, so the payload of the same record at any
+// sequence N is `{"seq":N` followed by the canonical payload after this
+// prefix.
+const canonicalPrefix = `{"seq":0`
+
+// canonical returns the record's JSON payload with the sequence number
+// zeroed — the bytes a duplicate submission shares with its first copy.
+func (r Record) canonical() []byte {
 	r.Seq = 0
 	payload, err := json.Marshal(r)
 	if err != nil {
 		// Record has no unmarshalable fields; this cannot happen.
 		panic(err)
 	}
-	return string(payload)
+	return payload
 }
 
-// encodeRecord frames one record as a journal line:
+// digest is the identity under which duplicate submissions are
+// detected: the SHA-256 of the record's canonical payload, so two
+// records share a digest exactly when they agree on every field but
+// Seq, barring a SHA-256 collision. Among n distinct records the chance
+// of any collision is below n²/2²⁵⁷, about 4·10⁻⁶⁰ for a billion bids.
+func digest(canonical []byte) [sha256.Size]byte { return sha256.Sum256(canonical) }
+
+// encodeCanonical frames one record as a journal line at sequence seq,
+// given the record's canonical payload:
 //
 //	<crc32-ieee-hex8> <payload-json>\n
 //
-// The checksum covers exactly the payload bytes, so any torn, bit-rotted
-// or short-written tail fails verification and is discarded on replay.
-func encodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding record %d: %w", rec.Seq, err)
+// The payload is the record's JSON with Seq set to seq — `{"seq":seq`
+// followed by the canonical payload after canonicalPrefix — so a record
+// is marshaled once whether it is digested, framed, or both. The
+// checksum covers exactly the payload bytes, so any torn, bit-rotted or
+// short-written tail fails verification and is discarded on replay.
+func encodeCanonical(seq uint64, canonical []byte) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(canonical, []byte(canonicalPrefix))
+	if !ok {
+		return nil, fmt.Errorf("resilience: record %d: payload is not canonical", seq)
 	}
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return nil, fmt.Errorf("resilience: record %d payload contains newline", rec.Seq)
+	if bytes.IndexByte(rest, '\n') >= 0 {
+		return nil, fmt.Errorf("resilience: record %d payload contains newline", seq)
 	}
-	out := make([]byte, 0, len(payload)+10)
-	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	out = append(out, '\n')
-	return out, nil
+	const header = len("xxxxxxxx ")
+	out := make([]byte, header, header+len(`{"seq":`)+20+len(rest)+1)
+	out = append(out, `{"seq":`...)
+	out = strconv.AppendUint(out, seq, 10)
+	out = append(out, rest...)
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out[header:]))
+	hex.Encode(out[:header-1], sum[:])
+	out[header-1] = ' '
+	return append(out, '\n'), nil
 }
 
 // decodeLine parses one framed journal line (without the trailing
@@ -169,15 +195,23 @@ func NewJournalAt(w io.Writer, seq uint64) *Journal { return &Journal{w: w, seq:
 // journal: the record may be partially on disk, so nothing further may
 // be appended after it.
 func (j *Journal) Append(rec Record) error {
+	_, err := j.appendCanonical(rec.canonical())
+	return err
+}
+
+// appendCanonical is Append for a record already marshaled to its
+// canonical payload: it writes the same bytes without marshaling again,
+// and returns the sequence number assigned.
+func (j *Journal) appendCanonical(canonical []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return fmt.Errorf("%w: %w", ErrJournalBroken, j.err)
+		return 0, fmt.Errorf("%w: %w", ErrJournalBroken, j.err)
 	}
-	rec.Seq = j.seq + 1
-	frame, err := encodeRecord(rec)
+	seq := j.seq + 1
+	frame, err := encodeCanonical(seq, canonical)
 	if err != nil {
-		return err // encoding failed before any bytes were written: not wedged
+		return 0, err // encoding failed before any bytes were written: not wedged
 	}
 	n, err := j.w.Write(frame)
 	if err == nil && n < len(frame) {
@@ -185,10 +219,10 @@ func (j *Journal) Append(rec Record) error {
 	}
 	if err != nil {
 		j.err = err
-		return fmt.Errorf("resilience: journal append: %w", err)
+		return 0, fmt.Errorf("resilience: journal append: %w", err)
 	}
-	j.seq = rec.Seq
-	return nil
+	j.seq = seq
+	return seq, nil
 }
 
 // Seq returns the sequence number of the last appended record.

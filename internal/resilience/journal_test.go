@@ -2,12 +2,17 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
 )
 
@@ -20,6 +25,24 @@ func testRecords() []Record {
 		{Kind: KindAdvanceSlot},
 		{Kind: KindClosePeriod},
 	}
+}
+
+// encodeRecord frames rec as a journal line the plain way — marshal the
+// record, checksum the payload, frame it — as the reference the
+// encode-once path (encodeCanonical) must match byte for byte.
+func encodeRecord(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: encoding record %d: %w", rec.Seq, err)
+	}
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return nil, fmt.Errorf("resilience: record %d payload contains newline", rec.Seq)
+	}
+	out := make([]byte, 0, len(payload)+10)
+	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(payload))
+	out = append(out, payload...)
+	out = append(out, '\n')
+	return out, nil
 }
 
 func appendAll(t *testing.T, j *Journal, recs []Record) {
@@ -54,7 +77,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, rec.Seq)
 		}
 		want[i].Seq = rec.Seq
-		if rec.fingerprint() != want[i].fingerprint() {
+		if !bytes.Equal(rec.canonical(), want[i].canonical()) {
 			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, rec, want[i])
 		}
 	}
@@ -359,5 +382,59 @@ func TestFileLogRepeatedTearAppendCycles(t *testing.T) {
 		if rec.Seq != uint64(i+1) {
 			t.Fatalf("record %d has seq %d after %d tear cycles", i, rec.Seq, 3)
 		}
+	}
+}
+
+// TestEncodeCanonicalMatchesEncodeRecord pins the encode-once path: for
+// every record kind and sequence widths from one digit to twenty, the
+// line framed from a record's canonical payload equals encodeRecord of
+// the record itself, and a journal's image equals the records framed by
+// encodeRecord.
+func TestEncodeCanonicalMatchesEncodeRecord(t *testing.T) {
+	recs := append(testRecords(), Record{Kind: KindSubstBid, User: 8, Set: []core.OptID{1, 2},
+		Start: 2, End: 3, Values: []econ.Money{econ.FromCents(150), 0}})
+	kinds := map[RecordKind]bool{}
+	for _, rec := range recs {
+		kinds[rec.Kind] = true
+		for _, seq := range []uint64{1, 9, 10, 4711, math.MaxUint64} {
+			rec.Seq = seq
+			want, err := encodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := encodeCanonical(seq, rec.canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s record at seq %d:\nencode-once %q\nencodeRecord %q", rec.Kind, seq, got, want)
+			}
+		}
+	}
+	for _, k := range []RecordKind{KindShardConfig, KindAdditiveBid, KindSubstBid, KindAdvanceSlot, KindClosePeriod} {
+		if !kinds[k] {
+			t.Errorf("no %s record checked", k)
+		}
+	}
+
+	var m MemLog
+	var want []byte
+	j := NewJournal(&m)
+	for i, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Seq = uint64(i + 1)
+		line, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, line...)
+	}
+	if !bytes.Equal(m.Bytes(), want) {
+		t.Fatalf("journal images differ:\nAppend       %q\nencodeRecord %q", m.Bytes(), want)
+	}
+	if _, err := encodeCanonical(1, []byte(`{"kind":"adv"}`)); err == nil {
+		t.Fatal("a payload without the seq-0 prefix was framed")
 	}
 }

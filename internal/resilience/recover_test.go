@@ -165,9 +165,9 @@ func TestRecoverServiceCrashReplaySubstitutive(t *testing.T) {
 	testRecoverServiceCrashReplay(t, sharedopt.Substitutive)
 }
 
-// TestRecoverIdempotentDuplicateAfterRecovery checks the idempotency
-// fingerprints survive shard recovery: a duplicate of a pre-crash bid is
-// still a no-op on the recovered host.
+// TestRecoverIdempotentDuplicateAfterRecovery checks the dedup digests
+// survive shard recovery: a duplicate of a pre-crash bid is still a
+// no-op on the recovered host.
 func TestRecoverIdempotentDuplicateAfterRecovery(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
 	var m MemLog

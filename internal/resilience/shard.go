@@ -30,6 +30,7 @@ package resilience
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -144,7 +145,7 @@ func (p pendingBid) applyTo(svc *sharedopt.Service) error {
 type indoubtBid struct {
 	p   pendingBid
 	rec Record
-	fp  string
+	fp  [sha256.Size]byte // digest of rec's canonical payload
 }
 
 // shard is the router's view of one partition: the transport link plus
@@ -158,10 +159,11 @@ type shard struct {
 	// while a round is pending on an unreachable shard or mid-fold).
 	batch  []pendingBid
 	frozen []pendingBid
-	// batched marks the fingerprints this router has folded or will
-	// fold, which is what tells a duplicate acknowledgment (retry after
-	// a lost reply) from a fresh accept that must be batched once.
-	batched map[string]bool
+	// batched marks the journal sequences this router has folded or
+	// will fold. A duplicate acknowledgment (retry after a lost reply)
+	// carries its original record's sequence, so this set tells it from
+	// a fresh accept that must be batched once.
+	batched map[uint64]bool
 	indoubt []indoubtBid
 	// marked is true while the in-progress settlement round's marker is
 	// durable on this shard (cleared when the round completes).
@@ -178,14 +180,14 @@ type shard struct {
 }
 
 func newShard(link ShardTransport, om shardMetrics) *shard {
-	sh := &shard{link: link, batched: make(map[string]bool), om: om}
+	sh := &shard{link: link, batched: make(map[uint64]bool), om: om}
 	sh.idle = sync.NewCond(&sh.mu)
 	return sh
 }
 
 // dropIndoubtLocked forgets in-doubt entries for fp after a later
-// delivery of the same bid reached a definitive outcome.
-func (sh *shard) dropIndoubtLocked(fp string) {
+// delivery of the same bid was definitively rejected.
+func (sh *shard) dropIndoubtLocked(fp [sha256.Size]byte) {
 	kept := sh.indoubt[:0]
 	for _, in := range sh.indoubt {
 		if in.fp != fp {
@@ -427,6 +429,9 @@ func (s *ShardedService) wedgeLocked(i int, cause error) {
 // full batch returns ErrOverloaded; an unreachable shard returns
 // ErrShardUnavailable, leaving the bid in doubt until a retry or the
 // next settlement's resolution decides it.
+//
+// The router copies the bid once; the batched bid and its journal record
+// share the copy, and neither is modified afterwards.
 func (s *ShardedService) SubmitAdditiveBid(opt core.OptID, bid core.OnlineBid) error {
 	p := pendingBid{additive: true, opt: opt, abid: core.OnlineBid{
 		User: bid.User, Start: bid.Start, End: bid.End,
@@ -449,11 +454,12 @@ func (s *ShardedService) SubmitSubstitutiveBid(bid core.OnlineSubstBid) error {
 // The shard lock is released during the transport call, so submissions
 // pipeline: admission counts in-flight calls against MaxBatch, and the
 // durable sequence in the acknowledgment restores journal order at fold
-// time.
+// time. The acknowledgment's sequence tells a duplicate from a fresh
+// accept, so the router digests a record only when a delivery leaves
+// it in doubt.
 func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 	i := ShardFor(u, len(s.shards))
 	sh := s.shards[i]
-	fp := rec.fingerprint()
 	sh.mu.Lock()
 	for sh.settling && sh.wedged == nil {
 		sh.idle.Wait()
@@ -502,19 +508,20 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 			// Fate unknown: the shard may have journaled the bid before
 			// the reply was lost. Remember it so settlement resolves it
 			// by idempotent resubmission before the next marker.
-			if !sh.batched[fp] {
-				sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: fp})
-			}
+			sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digest(rec.canonical())})
 			return fmt.Errorf("resilience: shard %d: %w", i, err)
 		default:
 			sh.counters.Rejected++
 			sh.om.rejected.Inc()
 			s.tm.rejected.Inc()
-			sh.dropIndoubtLocked(fp) // definitively rejected: nothing durable to resolve
+			if len(sh.indoubt) > 0 {
+				// Definitively rejected: nothing durable to resolve.
+				sh.dropIndoubtLocked(digest(rec.canonical()))
+			}
 			return err
 		}
 	}
-	if sh.batched[fp] {
+	if sh.batched[res.Seq] {
 		return nil // duplicate: already journaled and already batched/settled
 	}
 	// Fresh accept — or a non-fresh acknowledgment whose original reply
@@ -526,7 +533,7 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 	sh.om.accepted.Inc()
 	s.tm.accepted.Inc()
 	sh.batch = append(sh.batch, p)
-	sh.batched[fp] = true
+	sh.batched[res.Seq] = true
 	sh.om.batchHigh.Observe(uint64(len(sh.batch)))
 	return nil
 }
@@ -564,16 +571,14 @@ func (s *ShardedService) foldFrozenLocked(i int, frozen []pendingBid) {
 // resolveIndoubtLocked drives shard i's in-doubt submissions to a
 // definitive outcome by idempotent resubmission, before the settlement
 // marker freezes the window. A bid the shard had journaled (reply lost)
-// is acknowledged as a duplicate and joins the batch; one it never saw
-// is journaled now or definitively rejected. Returns false if the shard
-// is unreachable — the round cannot mark it yet. s.mu and sh.mu held.
+// is acknowledged as a duplicate with its original sequence: it joins
+// the batch unless a later retry already batched it. One the shard never
+// saw is journaled now or definitively rejected. Returns false if the
+// shard is unreachable — the round cannot mark it yet. s.mu and sh.mu
+// held.
 func (s *ShardedService) resolveIndoubtLocked(i int, sh *shard) bool {
 	for len(sh.indoubt) > 0 {
 		in := sh.indoubt[0]
-		if sh.batched[in.fp] {
-			sh.indoubt = sh.indoubt[1:]
-			continue
-		}
 		ctx, cancel := s.callCtx()
 		res, err := sh.link.Submit(ctx, in.rec)
 		cancel()
@@ -593,13 +598,16 @@ func (s *ShardedService) resolveIndoubtLocked(i int, sh *shard) bool {
 			}
 			continue
 		}
+		sh.indoubt = sh.indoubt[1:]
+		if sh.batched[res.Seq] {
+			continue // a later retry already batched it
+		}
 		in.p.seq = res.Seq
 		sh.counters.Accepted++
 		sh.om.accepted.Inc()
 		s.tm.accepted.Inc()
 		sh.batch = append(sh.batch, in.p)
-		sh.batched[in.fp] = true
-		sh.indoubt = sh.indoubt[1:]
+		sh.batched[res.Seq] = true
 	}
 	return true
 }

@@ -35,6 +35,7 @@ package resilience
 // after a close, a config mismatch) fails recovery as corrupt.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -48,7 +49,7 @@ func sameShardConfig(a, b Record) error {
 	na, nb := a, b
 	na.Seq, na.Shard = 0, 0
 	nb.Seq, nb.Shard = 0, 0
-	if na.fingerprint() != nb.fingerprint() {
+	if !bytes.Equal(na.canonical(), nb.canonical()) {
 		return fmt.Errorf("resilience: shard %d and shard %d journals disagree on tier config", a.Shard, b.Shard)
 	}
 	return nil
@@ -167,6 +168,10 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 			switch rec.Kind {
 			case KindAdditiveBid, KindSubstBid:
 				rep.tail = append(rep.tail, pendingFromRecord(rec))
+				// Prime the router's dedup set with every journaled bid,
+				// so a client retrying a pre-crash submission is
+				// recognized as a duplicate instead of double-batched.
+				sh.batched[rec.Seq] = true
 			case KindAdvanceSlot:
 				rep.windows = append(rep.windows, rep.tail)
 				rep.tail = nil
@@ -178,12 +183,6 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 		sh.counters.Accepted = host.bids
 		sh.om.accepted.Add(host.bids)
 		s.tm.accepted.Add(host.bids)
-		// Prime the router's dedup set with every journaled bid, so a
-		// client retrying a pre-crash submission is recognized as a
-		// duplicate instead of double-batched.
-		for fp := range host.seen {
-			sh.batched[fp] = true
-		}
 	}
 
 	// Reconcile the slot frontier: the maximum adv count across shards.

@@ -401,7 +401,7 @@ func TestShardedRecoverPolicyDiverged(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateAfterRecovery: the dedup fingerprints survive
+// TestShardedDuplicateAfterRecovery: the dedup digests survive
 // recovery per shard, so a blind resubmission of an already-settled bid
 // stays a no-op and is not double-priced.
 func TestShardedDuplicateAfterRecovery(t *testing.T) {

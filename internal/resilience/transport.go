@@ -15,7 +15,7 @@ package resilience
 //   - ErrShardUnavailable (wrapped): the call did not reach a decision —
 //     deadline, connection loss, breaker open. The operation's fate is
 //     unknown, exactly as after a crash; submits are safe to retry
-//     blindly (fingerprint dedup makes them idempotent) and markers are
+//     blindly (digest dedup makes them idempotent) and markers are
 //     safe to retry blindly (Advance is window-idempotent).
 //   - ErrJournalBroken (wrapped): the shard decided, fail-stop. The
 //     router wedges the shard (ErrShardWedged).
@@ -24,6 +24,7 @@ package resilience
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -31,7 +32,6 @@ import (
 
 	"sharedopt"
 	"sharedopt/internal/core"
-	"sharedopt/internal/econ"
 )
 
 // ErrShardUnavailable marks a shard transport call that reached no
@@ -51,7 +51,7 @@ type SubmitResult struct {
 	// their first copy.
 	Seq uint64 `json:"seq"`
 	// Fresh is true when this delivery journaled the record, false when
-	// fingerprint dedup matched an earlier accept.
+	// digest dedup matched an earlier accept.
 	Fresh bool `json:"fresh,omitempty"`
 }
 
@@ -97,9 +97,9 @@ type ShardTransport interface {
 }
 
 // ShardHost is one shard's durability and admission authority. It holds
-// the shard's journal, the fingerprints of the bids journaled so far
-// (dedup), and a core.Validator carrying each of its users' declared
-// curves — everything needed to judge a bid exactly as the settlement
+// the shard's journal, the digests of the bids journaled so far (dedup),
+// and a core.Validator carrying its users' declared curves until their
+// end slots — everything needed to judge a bid exactly as the settlement
 // game will, without running the mechanism. It implements
 // ShardTransport directly — that is the in-process loopback transport —
 // and transport.ShardServer serves the same host over TCP. Methods are
@@ -113,10 +113,12 @@ type ShardHost struct {
 	opts    []OptCost
 	j       *Journal
 	v       *core.Validator
-	// seen maps the fingerprint of each journaled bid to its record's
-	// sequence, so a duplicate delivery — local retry or network — is
-	// acknowledged with the original record's identity.
-	seen map[string]uint64
+	// seen maps the digest of each journaled bid's canonical payload to
+	// its record's sequence, so a duplicate delivery — local retry or
+	// network — is acknowledged with the original record's identity. It
+	// costs a fixed 40 bytes of key and value per bid, and outlives the
+	// user's curve: a departed user's duplicate is still recognized.
+	seen map[[sha256.Size]byte]uint64
 	// closing is set once the close marker is journaled.
 	closing bool
 	bids    uint64
@@ -127,7 +129,7 @@ type ShardHost struct {
 func newShardHost(cfg Record, kind sharedopt.GameKind, j *Journal) *ShardHost {
 	return &ShardHost{
 		kind: kind, horizon: cfg.Horizon, shard: cfg.Shard, shards: cfg.Shards, opts: cfg.Opts,
-		j: j, v: core.NewValidator(catalogOf(cfg.Opts)), seen: make(map[string]uint64),
+		j: j, v: core.NewValidator(catalogOf(cfg.Opts)), seen: make(map[[sha256.Size]byte]uint64),
 	}
 }
 
@@ -166,7 +168,7 @@ func errCorrupt(rec Record, err error) error {
 // resumes appending to w — the restart path for a single killed shard
 // process, while RecoverShardedService reconciles a whole tier. Replay
 // restores the validator's clock and declared curves and the dedup
-// fingerprints, so submissions accepted before the crash remain
+// digests, so submissions accepted before the crash remain
 // idempotent after it.
 func RecoverShardHost(recs []Record, w io.Writer) (*ShardHost, error) {
 	if len(recs) == 0 {
@@ -203,7 +205,7 @@ func (h *ShardHost) replay(rec Record) error {
 		if err := h.admit(rec); err != nil {
 			return errCorrupt(rec, err)
 		}
-		h.seen[rec.fingerprint()] = rec.Seq
+		h.seen[digest(rec.canonical())] = rec.Seq
 		h.bids++
 	case KindAdvanceSlot:
 		if h.closed() {
@@ -243,21 +245,21 @@ func (h *ShardHost) admit(rec Record) error {
 }
 
 // additiveBidRecord builds the journal record of an additive submission.
+// The record shares the bid's Values; neither side may modify them.
 func additiveBidRecord(opt core.OptID, bid core.OnlineBid) Record {
 	return Record{
 		Kind: KindAdditiveBid, User: bid.User, Opt: opt,
-		Start: bid.Start, End: bid.End,
-		Values: append([]econ.Money(nil), bid.Values...),
+		Start: bid.Start, End: bid.End, Values: bid.Values,
 	}
 }
 
 // substBidRecord builds the journal record of a substitutive submission.
+// The record shares the bid's Opts and Values; neither side may modify
+// them.
 func substBidRecord(bid core.OnlineSubstBid) Record {
 	return Record{
-		Kind: KindSubstBid, User: bid.User,
-		Set:   append([]core.OptID(nil), bid.Opts...),
-		Start: bid.Start, End: bid.End,
-		Values: append([]econ.Money(nil), bid.Values...),
+		Kind: KindSubstBid, User: bid.User, Set: bid.Opts,
+		Start: bid.Start, End: bid.End, Values: bid.Values,
 	}
 }
 
@@ -290,9 +292,10 @@ func unavailableErr(err error) error {
 }
 
 // Submit implements ShardTransport: check routing, then run the
-// accept-then-journal protocol with fingerprint dedup. The record is
-// rebuilt in canonical form first, so a delivery's fingerprint is the
-// same whichever transport carried it.
+// accept-then-journal protocol with digest dedup. The record is rebuilt
+// in canonical form first, so a delivery's digest is the same whichever
+// transport carried it. A fresh bid is marshaled once: the same
+// canonical payload yields its digest and its journal line.
 func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SubmitResult{}, unavailableErr(err)
@@ -313,20 +316,19 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 	if err := h.errIfBroken(); err != nil {
 		return SubmitResult{}, err
 	}
-	fp := rec.fingerprint()
-	if seq, ok := h.seen[fp]; ok {
+	canonical := rec.canonical()
+	key := digest(canonical)
+	if seq, ok := h.seen[key]; ok {
 		return SubmitResult{Seq: seq}, nil
 	}
 	if err := h.admit(rec); err != nil {
 		return SubmitResult{}, err
 	}
-	if err := h.j.Append(rec); err != nil {
+	seq, err := h.j.appendCanonical(canonical)
+	if err != nil {
 		return SubmitResult{}, h.brokenErr(err)
 	}
-	// Append assigned the record the journal's next sequence number; read
-	// it back so the acknowledgment names the durable position.
-	seq := h.j.Seq()
-	h.seen[fp] = seq
+	h.seen[key] = seq
 	h.bids++
 	return SubmitResult{Seq: seq, Fresh: true}, nil
 }

@@ -29,7 +29,7 @@
 // server-side deadline expiry so the client retries it, and "reject"
 // carries a definitive mechanism rejection as text. Unavailable calls
 // are retried with the tier's seeded Backoff jitter; retries are blind
-// and safe because submits dedup by journal fingerprint and settlement
+// and safe because submits dedup by record digest and settlement
 // markers are window-idempotent.
 //
 // # Circuit breaking

@@ -17,7 +17,7 @@ type NetFaultConfig struct {
 	// caller waits out its deadline.
 	Drop float64
 	// Dup delivers the request twice, exercising server-side
-	// fingerprint dedup and client-side stray-reply handling.
+	// digest dedup and client-side stray-reply handling.
 	Dup float64
 	// Reorder delays this request's send asynchronously so a later
 	// request can overtake it on the wire.

@@ -191,7 +191,7 @@ func TestTCPDeadlinePropagation(t *testing.T) {
 
 // TestDuplicateDeliveryDedup (satellite): with every request delivered
 // twice, each bid still journals exactly once — whichever delivery the
-// server handles second resolves through fingerprint dedup, the client
+// server handles second resolves through digest dedup, the client
 // is acknowledged with the journaled record's sequence either way, and
 // the extra reply is dropped as a stray on the client.
 func TestDuplicateDeliveryDedup(t *testing.T) {
