@@ -15,11 +15,11 @@ package main
 // shed (ErrOverloaded), and the p99 slot-advance latency from the
 // tier.advance_ns histogram. The knee is the first step that violates
 // the latency SLO or sheds load. Before a step is reported, its
-// accounting must reconcile exactly: the clients' independent per-shard
-// outcome tallies (routed with ShardFor, the same hash the tier uses)
-// are compared field-for-field with ShardStats, the obs counters with
-// both, and every accepted bid must be settled. Any mismatch is an
-// error, not a statistic.
+// accounting must reconcile exactly: the clients' own outcome tally is
+// checked against ShardStats with tiercheck.Accounting, every accepted
+// bid must be settled (tiercheck.Settled), and the obs counters must
+// agree with the shard books. Any mismatch is an error, not a
+// statistic.
 //
 // The JSON report (LOAD_*.json) separates the deterministic plan —
 // seed, ladder, per-step offered counts and mean gaps, which is
@@ -44,6 +44,7 @@ import (
 	"sharedopt/internal/obs"
 	"sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
 // loadConfig is one sweep's full parameterization.
@@ -148,16 +149,6 @@ func meanGap(sched []scheduledBid) time.Duration {
 	return sched[len(sched)-1].at / time.Duration(len(sched))
 }
 
-// shardTally is the clients' own per-shard outcome accounting,
-// maintained with atomics because bids complete concurrently. It is the
-// independent witness the tier's ShardCounters are reconciled against.
-type shardTally struct {
-	accepted   atomic.Uint64
-	rejected   atomic.Uint64
-	overloaded atomic.Uint64
-	readOnly   atomic.Uint64
-}
-
 // runLoadStep drives one rung and returns its record after exact
 // reconciliation.
 func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, error) {
@@ -168,10 +159,7 @@ func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, erro
 		MeanGapNs:   int64(meanGap(sched)),
 	}
 
-	writers := make([]io.Writer, cfg.shards)
-	for i := range writers {
-		writers[i] = new(resilience.MemLog)
-	}
+	_, writers := tiercheck.MemWriters(cfg.shards)
 	// Horizon sized so the settle ticker cannot exhaust the period even
 	// if the step runs far past its scheduled duration.
 	ticks := int(sched[len(sched)-1].at/cfg.settleEvery) + 1
@@ -183,7 +171,7 @@ func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, erro
 		return step, err
 	}
 
-	tallies := make([]shardTally, cfg.shards)
+	tally := tiercheck.NewTally()
 	var advances atomic.Uint64
 
 	// The settle ticker advances the billing slot at the configured
@@ -224,21 +212,12 @@ func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, erro
 		go func() {
 			defer bidWG.Done()
 			slot := ss.Now() + 1
-			err := ss.SubmitAdditiveBid(1, core.OnlineBid{
-				User: b.user, Start: slot, End: slot,
-				Values: []econ.Money{econ.FromCents(b.cents)},
+			tally.Submit(b.user, false, resilience.Backoff{Attempts: 1}, func() error {
+				return ss.SubmitAdditiveBid(1, core.OnlineBid{
+					User: b.user, Start: slot, End: slot,
+					Values: []econ.Money{econ.FromCents(b.cents)},
+				})
 			})
-			t := &tallies[resilience.ShardFor(b.user, cfg.shards)]
-			switch {
-			case err == nil:
-				t.accepted.Add(1)
-			case resilience.Retryable(err):
-				t.overloaded.Add(1)
-			case errors.Is(err, resilience.ErrShardWedged):
-				t.readOnly.Add(1)
-			default:
-				t.rejected.Add(1)
-			}
 		}()
 	}
 	bidWG.Wait()
@@ -251,28 +230,14 @@ func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, erro
 
 	// Exact reconciliation: the tier's books must match the clients'.
 	perShard := ss.ShardStats()
-	for i := range perShard {
-		got, want := perShard[i], &tallies[i]
-		if got.Accepted != want.accepted.Load() ||
-			got.Rejected != want.rejected.Load() ||
-			got.Overloaded != want.overloaded.Load() ||
-			got.ReadOnly != want.readOnly.Load() {
-			return step, fmt.Errorf("rate %.0f shard %d: counters %+v disagree with client tally {accepted:%d rejected:%d overloaded:%d readOnly:%d}",
-				step.OfferedRate, i, got,
-				want.accepted.Load(), want.rejected.Load(), want.overloaded.Load(), want.readOnly.Load())
-		}
-		if got.Pending != 0 || got.Settled != got.Accepted {
-			return step, fmt.Errorf("rate %.0f shard %d: %d accepted but %d settled, %d pending after close",
-				step.OfferedRate, i, got.Accepted, got.Settled, got.Pending)
-		}
-		step.Accepted += got.Accepted
-		step.Rejected += got.Rejected
-		step.Overloaded += got.Overloaded
+	if err := tiercheck.Accounting(perShard, tally, step.Offered); err != nil {
+		return step, fmt.Errorf("rate %.0f: %w", step.OfferedRate, err)
 	}
-	if total := step.Accepted + step.Rejected + step.Overloaded; total != uint64(step.Offered) {
-		return step, fmt.Errorf("rate %.0f: %d outcomes for %d offered bids — submissions lost",
-			step.OfferedRate, total, step.Offered)
+	if err := tiercheck.Settled(perShard); err != nil {
+		return step, fmt.Errorf("rate %.0f: %w", step.OfferedRate, err)
 	}
+	t := tally.Total()
+	step.Accepted, step.Rejected, step.Overloaded = t.Accepted, t.Rejected, t.Overloaded
 	snap := reg.Snapshot()
 	if snap.Counters["tier.accepted"] != step.Accepted ||
 		snap.Counters["tier.overloaded"] != step.Overloaded ||

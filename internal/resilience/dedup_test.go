@@ -1,15 +1,16 @@
-package resilience
+package resilience_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
+	"sharedopt/internal/tiercheck"
 )
 
 // TestDuplicateOfDepartedUserDeduped: once a user's end slot has passed
@@ -88,7 +89,7 @@ func (l *lossyLink) Submit(ctx context.Context, rec Record) (SubmitResult, error
 func TestInDoubtBatchedByRetryFoldsOnce(t *testing.T) {
 	const n = 2
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(4)}}
-	logs, ws := memWriters(n)
+	logs, ws := tiercheck.MemWriters(n)
 	links := make([]ShardTransport, n)
 	lossy := make([]*lossyLink, n)
 	for i := range links {
@@ -130,7 +131,7 @@ func TestInDoubtBatchedByRetryFoldsOnce(t *testing.T) {
 		if _, err := ref.AdvanceSlot(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := snapshotTier(ss), snapshotTier(ref); got != want {
+		if got, want := tiercheck.Snapshot(ss), tiercheck.Snapshot(ref); got != want {
 			t.Fatalf("tier diverged from the reference\n--- tier ---\n%s--- reference ---\n%s", got, want)
 		}
 	}
@@ -149,18 +150,12 @@ func TestInDoubtBatchedByRetryFoldsOnce(t *testing.T) {
 	advanceBoth(ss)
 	counters(ss, 1)
 
-	journals := make([][]Record, n)
-	rws := make([]io.Writer, n)
-	for i := range logs {
-		journals[i], _, _ = ReadJournal(logs[i].Bytes())
-		rws[i] = logs[i]
-	}
-	rec, err := RecoverShardedService(journals, rws, ShardedConfig{})
+	rec, err := RecoverShardedService(tiercheck.Journals(logs), ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &lossyLink{ShardTransport: rec.shards[1].link}
-	rec.shards[1].link = l
+	l := &lossyLink{}
+	l.ShardTransport = SwapLink(rec, 1, l)
 	// A pre-crash bid resent with its reply lost: in doubt, resolved
 	// at settlement to the sequence recovery primed.
 	l.lose = 1
@@ -174,15 +169,7 @@ func TestInDoubtBatchedByRetryFoldsOnce(t *testing.T) {
 	}
 	advanceBoth(rec)
 	counters(rec, 2)
-
-	recs, _, _ := ReadJournal(logs[1].Bytes())
-	bids := 0
-	for _, r := range recs {
-		if r.Kind == KindAdditiveBid {
-			bids++
-		}
-	}
-	if bids != 2 {
-		t.Fatalf("shard 1 journal holds %d bid records, want 2", bids)
+	if err := tiercheck.Journaled(tiercheck.Journals(logs), rec.ShardStats()); err != nil {
+		t.Fatal(err)
 	}
 }

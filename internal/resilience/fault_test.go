@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"context"
@@ -11,7 +11,9 @@ import (
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
 // faultFixture builds a one-shard host writing through a FaultWriter
@@ -34,7 +36,7 @@ func bidFor(u core.UserID) core.OnlineBid {
 
 // submitBid delivers an additive bid for opt 1 to h.
 func submitBid(h *ShardHost, bid core.OnlineBid) (SubmitResult, error) {
-	return h.Submit(context.Background(), additiveBidRecord(1, bid))
+	return h.Submit(context.Background(), AdditiveBidRecord(1, bid))
 }
 
 // TestFaultWriterEndToEnd runs each fault kind against record 2 (the
@@ -173,17 +175,11 @@ func TestFaultPlanSweep(t *testing.T) {
 			if _, err := tier.ClosePeriod(); err != nil {
 				t.Fatalf("settling recovered tier under plan %v: %v", plan, err)
 			}
-			if tier.Surplus() < 0 {
-				t.Fatalf("negative settled surplus %v under plan %v", tier.Surplus(), plan)
+			if err := tiercheck.Surplus(tier); err != nil {
+				t.Fatalf("%v under plan %v", err, plan)
 			}
-			// Every journaled (= accepted) bid is priced at settlement.
-			inv := tier.Invoices()
-			for _, r := range recs {
-				if r.Kind == KindAdditiveBid {
-					if _, ok := inv[r.User]; !ok {
-						t.Fatalf("journaled bid of user %d unpriced under plan %v", r.User, plan)
-					}
-				}
+			if err := tiercheck.Invoiced([][]Record{recs}, tier); err != nil {
+				t.Fatalf("%v under plan %v", err, plan)
 			}
 		})
 	}

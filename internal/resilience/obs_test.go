@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"bytes"
@@ -11,62 +11,51 @@ import (
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
 	"sharedopt/internal/obs"
+	. "sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
 // driveShardedScript runs a fixed seeded workload — submissions, a few
 // settlements, duplicates, an overload burst against a tiny batch bound,
 // and a final close — against a fresh sharded tier, returning the
-// service, its journals, and the client-side outcome tally.
-func driveShardedScript(t *testing.T, shards int, reg *obs.Registry) (*ShardedService, []*MemLog, map[string]int) {
+// service, its journals, the client-side outcome tally and the number of
+// submissions.
+func driveShardedScript(t *testing.T, shards int, reg *obs.Registry) (*ShardedService, []*MemLog, *tiercheck.Tally, int) {
 	t.Helper()
 	r := stats.NewRNG(99)
-	logs := make([]*MemLog, shards)
-	writers := make([]io.Writer, shards)
-	for i := range writers {
-		logs[i] = new(MemLog)
-		writers[i] = logs[i]
-	}
+	logs, writers := tiercheck.MemWriters(shards)
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(4)}}
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 6, writers,
 		ShardedConfig{MaxBatch: 8, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := map[string]int{}
-	submit := func(u core.UserID, slot core.Slot) {
-		err := ss.SubmitAdditiveBid(1, core.OnlineBid{
-			User: u, Start: slot, End: slot,
-			Values: []econ.Money{econ.FromCents(int64(50 + r.Intn(200)))},
+	tally := tiercheck.NewTally()
+	submitted := 0
+	submit := func(u core.UserID, slot core.Slot, cents int64, dup bool) error {
+		submitted++
+		return tally.Submit(u, dup, Backoff{Attempts: 1}, func() error {
+			return ss.SubmitAdditiveBid(1, core.OnlineBid{
+				User: u, Start: slot, End: slot, Values: []econ.Money{econ.FromCents(cents)}})
 		})
-		switch {
-		case err == nil:
-			tally["accepted"]++
-		case IsOverloaded(err):
-			tally["overloaded"]++
-		default:
-			tally["rejected"]++
-		}
 	}
-	dup := core.OnlineBid{User: 1, Start: 1, End: 1,
-		Values: []econ.Money{econ.FromCents(117)}}
-	if err := ss.SubmitAdditiveBid(1, dup); err != nil {
+	if err := submit(1, 1, 117, false); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	tally["accepted"]++
 	// An idempotent duplicate: journaled once, counted once.
-	if err := ss.SubmitAdditiveBid(1, dup); err != nil {
+	if err := submit(1, 1, 117, true); err != nil {
 		t.Fatalf("duplicate submit: %v", err)
 	}
 	u := core.UserID(1)
 	for slot := core.Slot(1); slot <= 3; slot++ {
 		for k := 0; k < 30; k++ {
 			u++
-			submit(u, slot)
+			submit(u, slot, int64(50+r.Intn(200)), false)
 		}
 		// One retroactive bid per later slot (mechanism-rejected).
 		if slot > 1 {
-			submit(u, 1)
+			submit(u, 1, int64(50+r.Intn(200)), false)
 		}
 		if _, err := ss.AdvanceSlot(); err != nil {
 			t.Fatal(err)
@@ -75,12 +64,8 @@ func driveShardedScript(t *testing.T, shards int, reg *obs.Registry) (*ShardedSe
 	if _, err := ss.ClosePeriod(); err != nil {
 		t.Fatal(err)
 	}
-	return ss, logs, tally
+	return ss, logs, tally, submitted
 }
-
-// IsOverloaded reports whether err wraps ErrOverloaded (test helper
-// mirroring the retry contract's check).
-func IsOverloaded(err error) bool { return err != nil && Retryable(err) }
 
 // Instrumentation must be pure bookkeeping: a sharded run with a
 // registry attached produces byte-identical journals, invoices, and
@@ -89,8 +74,8 @@ func IsOverloaded(err error) bool { return err != nil && Retryable(err) }
 // — metrics can never change what is durable.
 func TestObsChangesNoJournalBytes(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		bare, bareLogs, bareTally := driveShardedScript(t, shards, nil)
-		inst, instLogs, instTally := driveShardedScript(t, shards, obs.NewRegistry())
+		bare, bareLogs, bareTally, _ := driveShardedScript(t, shards, nil)
+		inst, instLogs, instTally, _ := driveShardedScript(t, shards, obs.NewRegistry())
 		for i := range bareLogs {
 			if !bytes.Equal(bareLogs[i].Bytes(), instLogs[i].Bytes()) {
 				t.Fatalf("shards=%d: journal %d differs with obs attached", shards, i)
@@ -99,8 +84,8 @@ func TestObsChangesNoJournalBytes(t *testing.T) {
 		if !reflect.DeepEqual(bare.Invoices(), inst.Invoices()) {
 			t.Fatalf("shards=%d: invoices differ with obs attached", shards)
 		}
-		if !reflect.DeepEqual(bareTally, instTally) {
-			t.Fatalf("shards=%d: client outcomes differ: %v vs %v", shards, bareTally, instTally)
+		if b, i := bareTally.Total(), instTally.Total(); b != i {
+			t.Fatalf("shards=%d: client outcomes differ: %+v vs %+v", shards, b, i)
 		}
 		if !reflect.DeepEqual(bare.ShardStats(), inst.ShardStats()) {
 			t.Fatalf("shards=%d: shard counters differ with obs attached", shards)
@@ -113,7 +98,7 @@ func TestObsChangesNoJournalBytes(t *testing.T) {
 func TestShardedObsMirrorsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	const shards = 3
-	ss, _, tally := driveShardedScript(t, shards, reg)
+	ss, _, tally, submitted := driveShardedScript(t, shards, reg)
 	snap := reg.Snapshot()
 	agg := ShardCounters{}
 	for i, sc := range ss.ShardStats() {
@@ -146,15 +131,13 @@ func TestShardedObsMirrorsCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	// The tier's counters must reconcile with the client's own tally.
-	if agg.Accepted != uint64(tally["accepted"]) ||
-		agg.Rejected != uint64(tally["rejected"]) ||
-		agg.Overloaded != uint64(tally["overloaded"]) {
-		t.Fatalf("tier %+v does not reconcile with client tally %v", agg, tally)
+	// The tier's counters must reconcile with the client's own tally, and
+	// everything accepted was settled by the close.
+	if err := tiercheck.Accounting(ss.ShardStats(), tally, submitted); err != nil {
+		t.Fatal(err)
 	}
-	// Everything accepted was settled by the close.
-	if agg.Settled != agg.Accepted {
-		t.Fatalf("settled %d != accepted %d after close", agg.Settled, agg.Accepted)
+	if err := tiercheck.Settled(ss.ShardStats()); err != nil {
+		t.Fatal(err)
 	}
 	// Latency histograms observed every settlement and journal write.
 	if n := snap.Hists["tier.advance_ns"].Count; n != 3 {
@@ -218,7 +201,7 @@ func TestShardedObsWedgeCounting(t *testing.T) {
 func TestShardedRecoverExportsMetrics(t *testing.T) {
 	const shards = 3
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(4)}}
-	logs, ws := memWriters(shards)
+	logs, ws := tiercheck.MemWriters(shards)
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 6, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -241,12 +224,8 @@ func TestShardedRecoverExportsMetrics(t *testing.T) {
 		}
 	}
 
-	journals := make([][]Record, shards)
-	for i := range logs {
-		journals[i], _, _ = ReadJournal(logs[i].Bytes())
-	}
 	reg := obs.NewRegistry()
-	rec, err := RecoverShardedService(journals, ws, ShardedConfig{Obs: reg})
+	rec, err := RecoverShardedService(tiercheck.Journals(logs), ws, ShardedConfig{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 // The crash-replay property of the single-journal tier (N = 1): for
 // seeded additive and substitutive workload scripts, killing the tier at
@@ -18,38 +18,19 @@ import (
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
-// randomCatalog draws a small catalog with cent-precision costs.
-func randomCatalog(r *stats.RNG, n int) []sharedopt.Optimization {
-	opts := make([]sharedopt.Optimization, n)
-	for i := range opts {
-		opts[i] = sharedopt.Optimization{
-			ID:   core.OptID(i + 1),
-			Cost: econ.FromCents(int64(200 + r.Intn(1800))),
-		}
-	}
-	return opts
-}
-
-// randomValues draws per-slot values for a [start, end] bid.
-func randomValues(r *stats.RNG, start, end core.Slot) []econ.Money {
-	vals := make([]econ.Money, int(end-start+1))
-	for i := range vals {
-		vals[i] = econ.FromCents(int64(r.Intn(800)))
-	}
-	return vals
-}
-
-// driveCrashWorkload runs a buildTierOps script against a one-shard
-// tier journaling to m, returning one state snapshot per journaled
-// record (snaps[k] is the state after record k+1). Only a settlement
-// marker changes the priced state, so a bid record repeats the snapshot
-// before it.
-func driveCrashWorkload(t *testing.T, ops []tierOp, ss *ShardedService, m *MemLog, kind sharedopt.GameKind) []string {
+// driveCrashWorkload runs a script strictly against a one-shard tier
+// journaling to m, returning one state snapshot per journaled record
+// (snaps[k] is the state after record k+1). Only a settlement marker
+// changes the priced state, so a bid record repeats the snapshot before
+// it.
+func driveCrashWorkload(t *testing.T, sc tiercheck.Script, ss *ShardedService, m *MemLog) []string {
 	t.Helper()
-	snaps := []string{snapshotTier(ss)} // after the config record
+	snaps := []string{tiercheck.Snapshot(ss)} // after the config record
 	padTo := func(n int) {
 		for len(snaps) < n {
 			snaps = append(snaps, snaps[len(snaps)-1])
@@ -62,10 +43,12 @@ func driveCrashWorkload(t *testing.T, ops []tierOp, ss *ShardedService, m *MemLo
 		}
 		return len(recs)
 	}
-	applyTierOps(t, ops, ss, kind, true, func() {
+	if _, err := tiercheck.Drive(ss, sc, tiercheck.Strict, tiercheck.Hooks{Settled: func() {
 		padTo(records() - 1) // the marker just written is the last record
-		snaps = append(snaps, snapshotTier(ss))
-	})
+		snaps = append(snaps, tiercheck.Snapshot(ss))
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	padTo(records())
 	return snaps
 }
@@ -77,7 +60,7 @@ func driveCrashWorkload(t *testing.T, ops []tierOp, ss *ShardedService, m *MemLo
 func verifyCrashBoundaries(t *testing.T, data []byte, snaps []string,
 	recoverFn func(recs []Record) (string, error)) {
 	t.Helper()
-	bounds := recordBoundaries(data)
+	bounds := RecordBoundaries(data)
 	if len(bounds) != len(snaps) {
 		t.Fatalf("have %d record boundaries but %d snapshots", len(bounds), len(snaps))
 	}
@@ -116,22 +99,22 @@ func testRecoverServiceCrashReplay(t *testing.T, kind sharedopt.GameKind) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := stats.NewRNG(seed)
-			catalog := randomCatalog(r, 3)
+			catalog := tiercheck.RandomCatalog(r, 3)
 			horizon := core.Slot(4 + r.Intn(5))
 			var m MemLog
 			ss, err := NewShardedService(kind, catalog, horizon, []io.Writer{&m}, ShardedConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops := buildTierOps(seed*7919+uint64(kind), kind, catalog, horizon)
-			snaps := driveCrashWorkload(t, ops, ss, &m, kind)
+			sc := tiercheck.NewScript(seed*7919+uint64(kind), kind, catalog, horizon, 1, 3)
+			snaps := driveCrashWorkload(t, sc, ss, &m)
 			data := m.Bytes()
 			verifyCrashBoundaries(t, data, snaps, func(recs []Record) (string, error) {
 				rec, err := recoverOne(recs, io.Discard)
 				if err != nil {
 					return "", err
 				}
-				return snapshotTier(rec), nil
+				return tiercheck.Snapshot(rec), nil
 			})
 
 			// A full recovery must also be able to continue operating:

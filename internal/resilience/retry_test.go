@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 import (
 	"context"
@@ -11,6 +11,8 @@ import (
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
+	"sharedopt/internal/tiercheck"
 )
 
 // TestRetryBackoffSchedule checks the capped doubling schedule without
@@ -142,19 +144,9 @@ func TestRetryAgainstSaturatedIngest(t *testing.T) {
 	if st := ss.ShardStats()[0]; st.Overloaded != 3 || st.Accepted != 2 {
 		t.Fatalf("counters = %+v, want Overloaded=3 Accepted=2", st)
 	}
-	// Exactly one journal record for user 7 despite the blind retries.
-	recs, _, torn := ReadJournal(m.Bytes())
-	if torn {
-		t.Fatal("journal torn")
-	}
-	got := 0
-	for _, r := range recs {
-		if r.Kind == KindAdditiveBid && r.User == 7 {
-			got++
-		}
-	}
-	if got != 1 {
-		t.Fatalf("user 7 journaled %d times, want exactly 1", got)
+	// One journal record per accepted bid despite the blind retries.
+	if err := tiercheck.Journaled(tiercheck.Journals([]*MemLog{&m}), ss.ShardStats()); err != nil {
+		t.Fatal(err)
 	}
 	if w := ss.WedgedShards(); len(w) != 0 {
 		t.Fatalf("shards %v wedged during retry test", w)

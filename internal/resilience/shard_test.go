@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 // The sharding property: a ShardedService must price exactly like one
 // plain sharedopt.Service — invoices, surplus, and implemented sets
@@ -9,254 +9,64 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"testing"
 
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
-
-// pricedState is the read surface shared by every tier flavor, for
-// snapshot comparison.
-type pricedState interface {
-	Now() core.Slot
-	Closed() bool
-	Revenue() econ.Money
-	CostIncurred() econ.Money
-	Surplus() econ.Money
-	ImplementedOpts() []core.OptID
-	Invoices() map[core.UserID]econ.Money
-}
-
-// snapshotTier renders the complete priced state of any tier flavor.
-func snapshotTier(s pricedState) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d closed=%v revenue=%v cost=%v surplus=%v\n",
-		s.Now(), s.Closed(), s.Revenue(), s.CostIncurred(), s.Surplus())
-	fmt.Fprintf(&b, "implemented=%v\n", s.ImplementedOpts())
-	inv := s.Invoices()
-	users := make([]core.UserID, 0, len(inv))
-	for u := range inv {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, u := range users {
-		fmt.Fprintf(&b, "user %d paid %v\n", u, inv[u])
-	}
-	return b.String()
-}
-
-// One workload script op. The same script drives every tier flavor so
-// their outcomes can be compared record for record.
-const (
-	sopSubmit = iota
-	sopDup
-	sopRevise
-	sopInvalid
-	sopAdvance
-	sopClose
-)
-
-type tierOp struct {
-	kind  int
-	user  core.UserID
-	opt   core.OptID
-	set   []core.OptID
-	start core.Slot
-	end   core.Slot
-	vals  []econ.Money
-}
-
-// buildTierOps draws a deterministic workload script: valid bids,
-// exact-duplicate resubmissions (idempotent no-ops), upward revisions
-// of still-future bids, invalid retroactive bids (rejected, never
-// journaled), slot advances, and an occasional early close.
-func buildTierOps(seed uint64, kind sharedopt.GameKind, catalog []sharedopt.Optimization, horizon core.Slot) []tierOp {
-	r := stats.NewRNG(seed)
-	var ops []tierOp
-	var accepted []tierOp
-	nextUser := core.UserID(1)
-	for now := core.Slot(0); now < horizon; now++ {
-		for i, k := 0, 1+r.Intn(3); i < k; i++ {
-			start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-			end := start + core.Slot(r.Intn(int(horizon-start)+1))
-			op := tierOp{kind: sopSubmit, user: nextUser, start: start, end: end, vals: randomValues(r, start, end)}
-			nextUser++
-			if kind == sharedopt.Additive {
-				op.opt = catalog[r.Intn(len(catalog))].ID
-			} else {
-				op.set = []core.OptID{catalog[r.Intn(len(catalog))].ID}
-				for _, o := range catalog {
-					if o.ID != op.set[0] && r.Intn(2) == 0 {
-						op.set = append(op.set, o.ID)
-					}
-				}
-			}
-			ops = append(ops, op)
-			accepted = append(accepted, op)
-		}
-		if len(accepted) > 0 && r.Intn(3) == 0 {
-			d := accepted[r.Intn(len(accepted))]
-			d.kind = sopDup
-			ops = append(ops, d)
-		}
-		if r.Intn(3) == 0 {
-			for _, c := range r.Perm(len(accepted)) {
-				if cand := accepted[c]; cand.start > now {
-					rev := cand
-					rev.kind = sopRevise
-					rev.vals = append([]econ.Money(nil), cand.vals...)
-					for j := range rev.vals {
-						rev.vals[j] += econ.FromCents(int64(1 + r.Intn(300)))
-					}
-					ops = append(ops, rev)
-					accepted[c] = rev // later dups resubmit the latest curve
-					break
-				}
-			}
-		}
-		if now > 0 && r.Intn(4) == 0 {
-			ops = append(ops, tierOp{kind: sopInvalid, user: 9999,
-				opt: catalog[0].ID, set: []core.OptID{catalog[0].ID},
-				start: now, end: now, vals: []econ.Money{econ.Dollar}})
-		}
-		if now > 1 && r.Intn(10) == 0 {
-			ops = append(ops, tierOp{kind: sopClose})
-			return ops
-		}
-		ops = append(ops, tierOp{kind: sopAdvance})
-	}
-	return ops
-}
-
-// tierBackend is the mutation surface applyTierOps drives, plus the
-// clock reads it needs to skip already-settled work when re-driving a
-// script after recovery. Both ShardedService and sharedopt.Service
-// satisfy it.
-type tierBackend interface {
-	SubmitAdditiveBid(opt core.OptID, bid core.OnlineBid) error
-	SubmitSubstitutiveBid(bid core.OnlineSubstBid) error
-	AdvanceSlot() (core.SlotReport, error)
-	ClosePeriod() (map[core.UserID]econ.Money, error)
-	Now() core.Slot
-	Closed() bool
-}
-
-// applyTierOps drives a workload script against a tier. strict asserts
-// each op's contractual outcome (the clean-run oracle); non-strict
-// tolerates errors (crash schedules, post-recovery continuation) and
-// skips advances the tier has already settled. onSettle, if non-nil,
-// runs after each successful settlement (advance or close).
-func applyTierOps(t *testing.T, ops []tierOp, b tierBackend, kind sharedopt.GameKind, strict bool, onSettle func()) {
-	t.Helper()
-	adv := core.Slot(0)
-	submit := func(op tierOp) error {
-		if kind == sharedopt.Additive {
-			return b.SubmitAdditiveBid(op.opt, core.OnlineBid{
-				User: op.user, Start: op.start, End: op.end, Values: op.vals})
-		}
-		return b.SubmitSubstitutiveBid(core.OnlineSubstBid{
-			User: op.user, Opts: op.set, Start: op.start, End: op.end, Values: op.vals})
-	}
-	for _, op := range ops {
-		switch op.kind {
-		case sopSubmit, sopDup, sopRevise:
-			if err := submit(op); err != nil && strict {
-				t.Fatalf("valid submission rejected (op %+v): %v", op, err)
-			}
-		case sopInvalid:
-			if err := submit(op); err == nil && strict {
-				t.Fatal("retroactive bid accepted")
-			}
-		case sopAdvance:
-			adv++
-			if adv <= b.Now() {
-				continue // settled before the crash; replay skips it
-			}
-			if _, err := b.AdvanceSlot(); err != nil {
-				if strict {
-					t.Fatalf("advance to slot %d: %v", adv, err)
-				}
-			} else if onSettle != nil {
-				onSettle()
-			}
-		case sopClose:
-			if b.Closed() {
-				continue
-			}
-			if _, err := b.ClosePeriod(); err != nil {
-				if strict {
-					t.Fatalf("close: %v", err)
-				}
-			} else if onSettle != nil {
-				onSettle()
-			}
-		}
-	}
-}
-
-// memWriters returns n independent in-memory journal targets.
-func memWriters(n int) ([]*MemLog, []io.Writer) {
-	logs := make([]*MemLog, n)
-	ws := make([]io.Writer, n)
-	for i := range logs {
-		logs[i] = &MemLog{}
-		ws[i] = logs[i]
-	}
-	return logs, ws
-}
 
 // TestShardedMatchesSingleShard is the byte-identity property: the same
 // workload script through 1, 2, 4, and 8 shards settles to exactly the
-// single-shard reference state at every settlement point.
+// single-shard reference state at every settlement point, with exact
+// accounting and one journal record per accepted bid.
 func TestShardedMatchesSingleShard(t *testing.T) {
 	for _, kind := range []sharedopt.GameKind{sharedopt.Additive, sharedopt.Substitutive} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("kind=%v/seed=%d", kind, seed), func(t *testing.T) {
 				r := stats.NewRNG(seed)
-				catalog := randomCatalog(r, 3)
+				catalog := tiercheck.RandomCatalog(r, 3)
 				horizon := core.Slot(4 + r.Intn(4))
-				ops := buildTierOps(seed*977+uint64(kind), kind, catalog, horizon)
+				sc := tiercheck.NewScript(seed*977+uint64(kind), kind, catalog, horizon, 1, 3)
 
 				// The reference is one plain Service. It has no dedup, so
 				// it is driven without the exact-duplicate ops: a
 				// duplicate changes no state, and once its slot has passed
 				// a plain Service would refuse it as retroactive.
-				ref, err := newService(kind, catalog, horizon)
+				ref, err := NewService(kind, catalog, horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var refOps []tierOp
-				for _, op := range ops {
-					if op.kind != sopDup {
-						refOps = append(refOps, op)
+				refSc := sc
+				refSc.Ops = nil
+				for _, op := range sc.Ops {
+					if op.Kind != tiercheck.Dup {
+						refSc.Ops = append(refSc.Ops, op)
 					}
 				}
 				var refSnaps []string
-				applyTierOps(t, refOps, ref, kind, true, func() {
-					refSnaps = append(refSnaps, snapshotTier(ref))
-				})
-
-				bidOps := 0
-				for _, op := range ops {
-					if op.kind == sopSubmit || op.kind == sopRevise {
-						bidOps++
-					}
+				if _, err := tiercheck.Drive(ref, refSc, tiercheck.Strict, tiercheck.Hooks{Settled: func() {
+					refSnaps = append(refSnaps, tiercheck.Snapshot(ref))
+				}}); err != nil {
+					t.Fatalf("reference: %v", err)
 				}
 
 				for _, n := range []int{1, 2, 4, 8} {
-					_, ws := memWriters(n)
+					logs, ws := tiercheck.MemWriters(n)
 					ss, err := NewShardedService(kind, catalog, horizon, ws, ShardedConfig{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					var snaps []string
-					applyTierOps(t, ops, ss, kind, true, func() {
-						snaps = append(snaps, snapshotTier(ss))
-					})
+					tally, err := tiercheck.Drive(ss, sc, tiercheck.Strict, tiercheck.Hooks{Settled: func() {
+						snaps = append(snaps, tiercheck.Snapshot(ss))
+					}})
+					if err != nil {
+						t.Fatalf("n=%d: %v", n, err)
+					}
 					if len(snaps) != len(refSnaps) {
 						t.Fatalf("n=%d: %d settlements, reference had %d", n, len(snaps), len(refSnaps))
 					}
@@ -266,16 +76,15 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 								n, k, snaps[k], refSnaps[k])
 						}
 					}
-					var acc, settled uint64
-					for _, c := range ss.ShardStats() {
-						acc += c.Accepted
-						settled += c.Settled
-					}
-					if acc != uint64(bidOps) {
-						t.Fatalf("n=%d: shards accepted %d bids, script had %d", n, acc, bidOps)
-					}
-					if settled != acc {
-						t.Fatalf("n=%d: settled %d of %d accepted bids", n, settled, acc)
+					counters := ss.ShardStats()
+					for _, err := range []error{
+						tiercheck.Accounting(counters, tally, sc.Bids()),
+						tiercheck.Settled(counters),
+						tiercheck.Journaled(tiercheck.Journals(logs), counters),
+					} {
+						if err != nil {
+							t.Fatalf("n=%d: %v", n, err)
+						}
 					}
 				}
 			})
@@ -335,11 +144,7 @@ func shardBid(u core.UserID) core.OnlineBid {
 func TestShardedWedgeDegradation(t *testing.T) {
 	const n = 4
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	logs, _ := memWriters(n)
-	ws := make([]io.Writer, n)
-	for i := range ws {
-		ws[i] = logs[i]
-	}
+	logs, ws := tiercheck.MemWriters(n)
 	// Shard 0's journal fails on its record 2: config=0, first bid=1,
 	// second bid=2.
 	ws[0] = NewFaultWriter(logs[0], FaultPlan{Kind: FaultErr, Record: 2})
@@ -393,20 +198,10 @@ func TestShardedWedgeDegradation(t *testing.T) {
 	}
 	// The wedged shard's journal never saw the adv marker; the healthy
 	// ones did.
-	recs0, _, _ := ReadJournal(logs[0].Bytes())
-	for _, rec := range recs0 {
-		if rec.Kind == KindAdvanceSlot {
-			t.Fatal("wedged shard journaled an adv marker")
-		}
+	if advs, _ := journalFrontier(t, logs[0]); advs != 0 {
+		t.Fatal("wedged shard journaled an adv marker")
 	}
-	recs1, _, _ := ReadJournal(logs[1].Bytes())
-	advs := 0
-	for _, rec := range recs1 {
-		if rec.Kind == KindAdvanceSlot {
-			advs++
-		}
-	}
-	if advs != 1 {
+	if advs, _ := journalFrontier(t, logs[1]); advs != 1 {
 		t.Fatalf("healthy shard journaled %d adv markers, want 1", advs)
 	}
 }
@@ -417,7 +212,7 @@ func TestShardedWedgeDegradation(t *testing.T) {
 func TestShardedAllWedgedRefusal(t *testing.T) {
 	const n = 2
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	logs, _ := memWriters(n)
+	logs, _ := tiercheck.MemWriters(n)
 	ws := make([]io.Writer, n)
 	for i := range ws {
 		// Both journals fail on their second record (the first bid).
@@ -450,7 +245,7 @@ func TestShardedAllWedgedRefusal(t *testing.T) {
 func TestShardedOverloaded(t *testing.T) {
 	const n = 2
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	_, ws := memWriters(n)
+	_, ws := tiercheck.MemWriters(n)
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +283,7 @@ func TestShardedOverloaded(t *testing.T) {
 // not be folded into settlement twice.
 func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	_, ws := memWriters(2)
+	_, ws := tiercheck.MemWriters(2)
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +308,7 @@ func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	if _, err := ref.AdvanceSlot(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snapshotTier(ss), snapshotTier(ref); got != want {
+	if got, want := tiercheck.Snapshot(ss), tiercheck.Snapshot(ref); got != want {
 		t.Fatalf("duplicate handling diverged\n--- sharded ---\n%s--- reference ---\n%s", got, want)
 	}
 	st := ss.ShardStats()

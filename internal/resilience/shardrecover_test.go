@@ -1,4 +1,4 @@
-package resilience
+package resilience_test
 
 // The sharded crash-replay property: killing the whole tier (all N
 // journals at once, via a CrashGroup — process-death semantics) at
@@ -19,7 +19,9 @@ import (
 	"sharedopt"
 	"sharedopt/internal/core"
 	"sharedopt/internal/econ"
+	. "sharedopt/internal/resilience"
 	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
 // journalFrontier summarizes one journal: adv markers and close marker.
@@ -42,14 +44,13 @@ func journalFrontier(t *testing.T, m *MemLog) (advs int, closed bool) {
 
 func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, seed uint64) {
 	r := stats.NewRNG(seed)
-	catalog := randomCatalog(r, 3)
+	catalog := tiercheck.RandomCatalog(r, 3)
 	horizon := core.Slot(3 + r.Intn(3))
-	ops := buildTierOps(seed*1471+uint64(kind)+uint64(shards), kind, catalog, horizon)
+	sc := tiercheck.NewScript(seed*1471+uint64(kind)+uint64(shards), kind, catalog, horizon, 1, 3)
 
 	// Uncrashed oracle run, instrumented only to count global writes.
-	logs, _ := memWriters(shards)
+	logs, ws := tiercheck.MemWriters(shards)
 	group := NewCrashGroup()
-	ws := make([]io.Writer, shards)
 	for i := range ws {
 		ws[i] = NewFaultWriterInGroup(logs[i], FaultPlan{}, group)
 	}
@@ -57,13 +58,15 @@ func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyTierOps(t, ops, ss, kind, true, nil)
-	final := snapshotTier(ss)
+	if _, err := tiercheck.Drive(ss, sc, tiercheck.Strict, tiercheck.Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	final := tiercheck.Snapshot(ss)
 	totalWrites := group.Writes()
 
 	for kill := 0; kill < totalWrites; kill++ {
 		for _, tear := range []int{0, 9} {
-			logs, _ := memWriters(shards)
+			logs, rws := tiercheck.MemWriters(shards)
 			g := NewCrashGroup()
 			g.KillAtWrite(kill, tear)
 			ws := make([]io.Writer, shards)
@@ -73,7 +76,9 @@ func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, 
 			crashed, err := NewShardedService(kind, catalog, horizon, ws, ShardedConfig{})
 			if err == nil {
 				// Drive until the process dies; errors are the crash.
-				applyTierOps(t, ops, crashed, kind, false, nil)
+				if _, err := tiercheck.Drive(crashed, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
+					t.Fatal(err)
+				}
 			} else if kill >= shards {
 				t.Fatalf("kill=%d: constructor failed outside the config writes: %v", kill, err)
 			}
@@ -83,39 +88,19 @@ func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, 
 
 			// Recover from the surviving prefixes, the way OpenFileLog
 			// would: parse, truncate the torn tail, resume appending.
-			journals := make([][]Record, shards)
-			rws := make([]io.Writer, shards)
+			// Recovery must be deterministic: a second recovery of the
+			// same journals yields the identical state.
+			journals := tiercheck.Journals(logs)
 			allEmpty := true
-			for i := range logs {
-				recs, consumed, _ := ReadJournal(logs[i].Bytes())
-				logs[i].Truncate(consumed)
-				journals[i] = recs
-				rws[i] = logs[i]
+			for _, recs := range journals {
 				allEmpty = allEmpty && len(recs) == 0
 			}
-			rec1, err := RecoverShardedService(journals, rws, ShardedConfig{})
+			rec1, err := tiercheck.RecoverTwice(journals, rws, ShardedConfig{})
 			if err != nil {
 				if allEmpty && errors.Is(err, ErrEmptyJournal) {
 					continue // nothing was ever acknowledged; nothing to recover
 				}
-				t.Fatalf("kill=%d tear=%d: recovery failed: %v", kill, tear, err)
-			}
-			if w := rec1.WedgedShards(); len(w) != 0 {
-				t.Fatalf("kill=%d tear=%d: recovery wedged shards %v on clean plans", kill, tear, w)
-			}
-
-			// Determinism: a second recovery of the same journals yields
-			// the identical state.
-			dws := make([]io.Writer, shards)
-			for i := range dws {
-				dws[i] = io.Discard
-			}
-			rec2, err := RecoverShardedService(journals, dws, ShardedConfig{})
-			if err != nil {
-				t.Fatalf("kill=%d tear=%d: second recovery failed: %v", kill, tear, err)
-			}
-			if s1, s2 := snapshotTier(rec1), snapshotTier(rec2); s1 != s2 {
-				t.Fatalf("kill=%d tear=%d: recovery is nondeterministic\n%s\nvs\n%s", kill, tear, s1, s2)
+				t.Fatalf("kill=%d tear=%d: %v", kill, tear, err)
 			}
 
 			// Frontier reconciliation: every journal now agrees on the
@@ -134,8 +119,10 @@ func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, 
 
 			// Continuation: blindly re-driving the whole script must end
 			// byte-identical to the run that never crashed.
-			applyTierOps(t, ops, rec1, kind, false, nil)
-			if got := snapshotTier(rec1); got != final {
+			if _, err := tiercheck.Drive(rec1, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := tiercheck.Snapshot(rec1); got != final {
 				t.Fatalf("kill=%d tear=%d: continuation diverged from the uncrashed run\n--- recovered+continued ---\n%s--- uncrashed ---\n%s",
 					kill, tear, got, final)
 			}
@@ -165,7 +152,7 @@ func TestShardedCrashRecoverEveryWrite(t *testing.T) {
 func TestShardedRecoverRollForward(t *testing.T) {
 	const n = 2
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	logs, _ := memWriters(n)
+	logs, rws := tiercheck.MemWriters(n)
 	g := NewCrashGroup()
 	// Writes: 0,1 = configs; 2,3 = one bid per shard; 4 = shard 0 adv;
 	// 5 = shard 1 adv — the kill write.
@@ -195,16 +182,9 @@ func TestShardedRecoverRollForward(t *testing.T) {
 	if err := ss.Wedged(1); !errors.Is(err, ErrShardWedged) {
 		t.Fatalf("shard 1 not wedged after its marker write died: %v", err)
 	}
-	live := snapshotTier(ss)
+	live := tiercheck.Snapshot(ss)
 
-	journals := make([][]Record, n)
-	rws := make([]io.Writer, n)
-	for i := range logs {
-		recs, consumed, _ := ReadJournal(logs[i].Bytes())
-		logs[i].Truncate(consumed)
-		journals[i] = recs
-		rws[i] = logs[i]
-	}
+	journals := tiercheck.Journals(logs)
 	if advs, _ := journalFrontier(t, logs[1]); advs != 0 {
 		t.Fatalf("shard 1 journal holds %d adv markers before recovery, want 0", advs)
 	}
@@ -212,7 +192,7 @@ func TestShardedRecoverRollForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotTier(rec); got != live {
+	if got := tiercheck.Snapshot(rec); got != live {
 		t.Fatalf("recovered state diverged from the live post-advance state\n--- recovered ---\n%s--- live ---\n%s", got, live)
 	}
 	if advs, _ := journalFrontier(t, logs[1]); advs != 1 {
@@ -237,15 +217,9 @@ func shardedRecordSeq(recs []Record) []Record {
 func TestShardedRecoverConfigValidation(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
 	cfg := func(i, n int) Record {
-		return shardConfigRecord(sharedopt.Additive, catalog, 4, i, n)
+		return ShardConfigRecord(sharedopt.Additive, catalog, 4, i, n)
 	}
-	dws := func(n int) []io.Writer {
-		ws := make([]io.Writer, n)
-		for i := range ws {
-			ws[i] = io.Discard
-		}
-		return ws
-	}
+	dws := func(n int) []io.Writer { _, ws := tiercheck.MemWriters(n); return ws }
 
 	// Journals passed out of order.
 	j := [][]Record{
@@ -263,7 +237,7 @@ func TestShardedRecoverConfigValidation(t *testing.T) {
 	}
 
 	// Tier config disagreement: different horizons.
-	other := shardConfigRecord(sharedopt.Additive, catalog, 7, 1, 2)
+	other := ShardConfigRecord(sharedopt.Additive, catalog, 7, 1, 2)
 	j = [][]Record{
 		shardedRecordSeq([]Record{cfg(0, 2)}),
 		shardedRecordSeq([]Record{other}),
@@ -288,7 +262,7 @@ func TestShardedRecoverConfigValidation(t *testing.T) {
 func TestShardedRecoverEmptyShardJournal(t *testing.T) {
 	const n = 2
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	logs, ws := memWriters(n)
+	logs, ws := tiercheck.MemWriters(n)
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +281,7 @@ func TestShardedRecoverEmptyShardJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotTier(rec); got != snapshotTier(ss) {
+	if got := tiercheck.Snapshot(rec); got != tiercheck.Snapshot(ss) {
 		t.Fatal("recovery with one creation-crashed shard diverged")
 	}
 	// The re-seeded journal holds its config and was rolled forward to
@@ -334,9 +308,9 @@ func TestShardedRecoverEmptyShardJournal(t *testing.T) {
 // of failing the tier.
 func TestShardedRecoverPolicyDiverged(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	high := additiveBidRecord(1, core.OnlineBid{User: 3, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(9)}})
-	low := additiveBidRecord(1, core.OnlineBid{User: 3, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(1)}})
-	cfg := func(i int) Record { return shardConfigRecord(sharedopt.Additive, catalog, 4, i, 2) }
+	high := AdditiveBidRecord(1, core.OnlineBid{User: 3, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(9)}})
+	low := AdditiveBidRecord(1, core.OnlineBid{User: 3, Start: 1, End: 1, Values: []econ.Money{econ.FromDollars(1)}})
+	cfg := func(i int) Record { return ShardConfigRecord(sharedopt.Additive, catalog, 4, i, 2) }
 
 	// Divergence inside a settled window: detected during recovery.
 	j := [][]Record{
@@ -392,7 +366,7 @@ func TestShardedRecoverPolicyDiverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapshotTier(r1) != snapshotTier(r2) {
+	if tiercheck.Snapshot(r1) != tiercheck.Snapshot(r2) {
 		t.Fatal("degraded recovery is nondeterministic")
 	}
 	w1, w2 := r1.WedgedShards(), r2.WedgedShards()
@@ -407,7 +381,7 @@ func TestShardedRecoverPolicyDiverged(t *testing.T) {
 func TestShardedDuplicateAfterRecovery(t *testing.T) {
 	const n = 4
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	logs, ws := memWriters(n)
+	logs, ws := tiercheck.MemWriters(n)
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -419,16 +393,9 @@ func TestShardedDuplicateAfterRecovery(t *testing.T) {
 	if _, err := ss.AdvanceSlot(); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotTier(ss)
+	want := tiercheck.Snapshot(ss)
 
-	journals := make([][]Record, n)
-	rws := make([]io.Writer, n)
-	for i := range logs {
-		recs, _, _ := ReadJournal(logs[i].Bytes())
-		journals[i] = recs
-		rws[i] = logs[i]
-	}
-	rec, err := RecoverShardedService(journals, rws, ShardedConfig{})
+	rec, err := RecoverShardedService(tiercheck.Journals(logs), ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,21 +403,14 @@ func TestShardedDuplicateAfterRecovery(t *testing.T) {
 		t.Fatalf("duplicate after recovery rejected: %v", err)
 	}
 	st := rec.ShardStats()
-	if st[2].Pending != 0 {
+	if st[2].Pending != 0 || st[2].Accepted != 1 {
 		t.Fatalf("duplicate after recovery was re-batched: %+v", st[2])
 	}
-	if got := snapshotTier(rec); got != want {
+	if got := tiercheck.Snapshot(rec); got != want {
 		t.Fatalf("recovered state diverged\n--- recovered ---\n%s--- live ---\n%s", got, want)
 	}
-	// Re-parse shard 2's journal: the duplicate must not have appended.
-	recs2, _, _ := ReadJournal(logs[2].Bytes())
-	bidRecords := 0
-	for _, r := range recs2 {
-		if r.Kind == KindAdditiveBid {
-			bidRecords++
-		}
-	}
-	if bidRecords != 1 {
-		t.Fatalf("shard 2 journal holds %d bid records, want 1", bidRecords)
+	// Re-parse the journals: the duplicate must not have appended.
+	if err := tiercheck.Journaled(tiercheck.Journals(logs), st); err != nil {
+		t.Fatal(err)
 	}
 }

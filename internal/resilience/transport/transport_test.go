@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +14,7 @@ import (
 	"sharedopt/internal/econ"
 	"sharedopt/internal/obs"
 	"sharedopt/internal/resilience"
-	"sharedopt/internal/stats"
+	"sharedopt/internal/tiercheck"
 )
 
 func testCatalog() []sharedopt.Optimization {
@@ -50,27 +47,8 @@ func newTestHost(t *testing.T, shard, shards int) (*resilience.ShardHost, *resil
 	return h, &m
 }
 
-// addrBox is a mutable dial target, so tests can move the server.
-type addrBox struct {
-	mu   sync.Mutex
-	addr string
-}
-
-func (a *addrBox) set(addr string) {
-	a.mu.Lock()
-	a.addr = addr
-	a.mu.Unlock()
-}
-
-func (a *addrBox) dial() (net.Conn, error) {
-	a.mu.Lock()
-	addr := a.addr
-	a.mu.Unlock()
-	return net.DialTimeout("tcp", addr, time.Second)
-}
-
 // newTestPair serves host over TCP and returns a connected client.
-func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig) (*ShardServer, *ShardClient, *addrBox) {
+func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig) (*ShardServer, *ShardClient, *tiercheck.Addr) {
 	t.Helper()
 	srv := NewShardServer(host)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -78,8 +56,8 @@ func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig)
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	box := &addrBox{addr: addr}
-	cfg.Dial = box.dial
+	box := tiercheck.NewAddr(addr)
+	cfg.Dial = box.Dial
 	cli, err := NewShardClient(cfg)
 	if err != nil {
 		t.Fatalf("NewShardClient: %v", err)
@@ -398,7 +376,7 @@ func TestClientBreakerFastFail(t *testing.T) {
 		t.Fatalf("restart Listen: %v", err)
 	}
 	defer srv2.Close()
-	box.set(addr)
+	box.Set(addr)
 	mu.Lock()
 	now = now.Add(time.Minute)
 	mu.Unlock()
@@ -453,7 +431,7 @@ func TestServerKillRecoverRestart(t *testing.T) {
 		t.Fatalf("restart Listen: %v", err)
 	}
 	defer srv2.Close()
-	box.set(addr)
+	box.Set(addr)
 
 	// A blind client retry of a pre-crash bid hits recovered dedup.
 	res, err := cli.Submit(ctx, abid(2, 1, 1, 2, 100, 200))
@@ -471,120 +449,32 @@ func TestServerKillRecoverRestart(t *testing.T) {
 	}
 }
 
-// tierScript is a deterministic bid script shared by identity tests.
-type tierScript struct {
-	kind    sharedopt.GameKind
-	horizon core.Slot
-	ops     []resilience.Record // bid records in submit order
-	advs    []int               // bid count before each advance
-}
-
-func buildScript(seed uint64, horizon core.Slot) tierScript {
-	r := stats.NewRNG(seed)
-	sc := tierScript{kind: sharedopt.Additive, horizon: horizon}
-	catalog := testCatalog()
-	user := core.UserID(0)
-	for now := core.Slot(0); now < horizon; now++ {
-		n := 4 + r.Intn(5)
-		for i := 0; i < n; i++ {
-			user++
-			start := now + 1 + core.Slot(r.Intn(int(horizon-now)))
-			end := start + core.Slot(r.Intn(int(horizon-start)+1))
-			cents := make([]int64, int(end-start+1))
-			for k := range cents {
-				cents[k] = int64(r.Intn(900))
-			}
-			vals := make([]econ.Money, len(cents))
-			for k, c := range cents {
-				vals[k] = econ.FromCents(c)
-			}
-			sc.ops = append(sc.ops, resilience.Record{
-				Kind: resilience.KindAdditiveBid,
-				Opt:  catalog[r.Intn(len(catalog))].ID,
-				User: user, Start: start, End: end, Values: vals,
-			})
-		}
-		sc.advs = append(sc.advs, len(sc.ops))
-	}
-	return sc
-}
-
-// drive replays the script against a tier, retrying transient submit
-// failures to a definitive outcome (dedup makes that safe).
-func (sc tierScript) drive(t *testing.T, s *resilience.ShardedService) {
-	t.Helper()
-	next := 0
-	retry := resilience.Backoff{Attempts: 20, Base: time.Millisecond, Cap: 10 * time.Millisecond}
-	for _, upto := range sc.advs {
-		for ; next < upto; next++ {
-			rec := sc.ops[next]
-			err := resilience.RetryIf(context.Background(), retry, func(err error) bool {
-				return errors.Is(err, resilience.ErrShardUnavailable) || errors.Is(err, resilience.ErrOverloaded)
-			}, func() error {
-				return s.SubmitAdditiveBid(rec.Opt, core.OnlineBid{
-					User: rec.User, Start: rec.Start, End: rec.End, Values: rec.Values,
-				})
-			})
-			if err != nil {
-				t.Fatalf("bid %d (user %d): %v", next, rec.User, err)
-			}
-		}
-		if _, err := s.AdvanceSlot(); err != nil {
-			t.Fatalf("advance after bid %d: %v", upto, err)
-		}
-	}
-	if _, err := s.ClosePeriod(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-// snapshot renders the tier's settled economics for byte comparison.
-func snapshot(s *resilience.ShardedService) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d closed=%v revenue=%v cost=%v surplus=%v\n",
-		s.Now(), s.Closed(), s.Revenue(), s.CostIncurred(), s.Surplus())
-	opts := s.ImplementedOpts()
-	sort.Slice(opts, func(i, j int) bool { return opts[i] < opts[j] })
-	fmt.Fprintf(&b, "implemented=%v\n", opts)
-	inv := s.Invoices()
-	users := make([]core.UserID, 0, len(inv))
-	for u := range inv {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, u := range users {
-		fmt.Fprintf(&b, "user %d: %v\n", u, inv[u])
-	}
-	return b.String()
-}
-
 // TestShardedOverTCPByteIdentical is the tentpole identity check in
 // miniature: the same script against an in-process loopback tier and a
 // TCP tier under benign-but-nasty network faults (latency, duplicates,
 // reorders) must settle to byte-identical economics, with exact
-// client-vs-shard accounting on the TCP side.
+// client-vs-shard accounting and one journal record per accepted bid on
+// the TCP side.
 func TestShardedOverTCPByteIdentical(t *testing.T) {
 	const shards = 2
-	sc := buildScript(41, 4)
 	catalog := testCatalog()
+	sc := tiercheck.NewScript(41, sharedopt.Additive, catalog, 4, 4, 8)
 
 	// Reference: loopback tier.
-	var mems [shards]resilience.MemLog
-	ws := make([]io.Writer, shards)
-	for i := range ws {
-		ws[i] = &mems[i]
-	}
-	ref, err := resilience.NewShardedService(sc.kind, catalog, sc.horizon, ws, resilience.ShardedConfig{})
+	_, ws := tiercheck.MemWriters(shards)
+	ref, err := resilience.NewShardedService(sc.Kind, catalog, sc.Horizon, ws, resilience.ShardedConfig{})
 	if err != nil {
 		t.Fatalf("loopback tier: %v", err)
 	}
-	sc.drive(t, ref)
+	if _, err := tiercheck.Drive(ref, sc, tiercheck.Strict, tiercheck.Hooks{}); err != nil {
+		t.Fatalf("loopback run: %v", err)
+	}
 
 	// Subject: TCP tier with injected faults.
 	links := make([]resilience.ShardTransport, shards)
+	logs, _ := tiercheck.MemWriters(shards)
 	for i := 0; i < shards; i++ {
-		var m resilience.MemLog
-		h, err := resilience.NewShardHost(sc.kind, catalog, sc.horizon, i, shards, &m)
+		h, err := resilience.NewShardHost(sc.Kind, catalog, sc.Horizon, i, shards, logs[i])
 		if err != nil {
 			t.Fatalf("host %d: %v", i, err)
 		}
@@ -598,21 +488,26 @@ func TestShardedOverTCPByteIdentical(t *testing.T) {
 		})
 		links[i] = cli
 	}
-	tcp, err := resilience.NewShardedServiceOver(sc.kind, catalog, sc.horizon, links, resilience.ShardedConfig{CallTimeout: 250 * time.Millisecond})
+	tcp, err := resilience.NewShardedServiceOver(sc.Kind, catalog, sc.Horizon, links, resilience.ShardedConfig{CallTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("tcp tier: %v", err)
 	}
-	sc.drive(t, tcp)
+	tally, err := tiercheck.Drive(tcp, sc, tiercheck.Strict, tiercheck.Hooks{})
+	if err != nil {
+		t.Fatalf("tcp run: %v", err)
+	}
 
-	if got, want := snapshot(tcp), snapshot(ref); got != want {
+	if got, want := tiercheck.Snapshot(tcp), tiercheck.Snapshot(ref); got != want {
 		t.Fatalf("TCP settlement diverged from loopback:\n--- tcp ---\n%s--- loopback ---\n%s", got, want)
 	}
-	for i, st := range tcp.ShardStats() {
-		if st.Pending != 0 {
-			t.Fatalf("shard %d still pending %d after close", i, st.Pending)
-		}
-		if st.Settled != st.Accepted {
-			t.Fatalf("shard %d settled %d of %d accepted", i, st.Settled, st.Accepted)
+	counters := tcp.ShardStats()
+	for _, err := range []error{
+		tiercheck.Accounting(counters, tally, sc.Bids()),
+		tiercheck.Settled(counters),
+		tiercheck.Journaled(tiercheck.Journals(logs), counters),
+	} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
