@@ -16,10 +16,10 @@ package main
 // tier.advance_ns histogram. The knee is the first step that violates
 // the latency SLO or sheds load. Before a step is reported, its
 // accounting must reconcile exactly: the clients' own outcome tally is
-// checked against ShardStats with tiercheck.Accounting, every accepted
-// bid must be settled (tiercheck.Settled), and the obs counters must
-// agree with the shard books. Any mismatch is an error, not a
-// statistic.
+// checked against ShardStats with tiercheck.Accounting, and every
+// accepted bid must be settled (tiercheck.Settled). ShardStats reads the
+// same counters the registry exports, so there is no second book to
+// compare. Any mismatch is an error, not a statistic.
 //
 // The JSON report (LOAD_*.json) separates the deterministic plan —
 // seed, ladder, per-step offered counts and mean gaps, which is
@@ -238,20 +238,11 @@ func runLoadStep(cfg loadConfig, stepIdx int, reg *obs.Registry) (loadStep, erro
 	}
 	t := tally.Total()
 	step.Accepted, step.Rejected, step.Overloaded = t.Accepted, t.Rejected, t.Overloaded
-	snap := reg.Snapshot()
-	if snap.Counters["tier.accepted"] != step.Accepted ||
-		snap.Counters["tier.overloaded"] != step.Overloaded ||
-		snap.Counters["tier.settled"] != step.Accepted {
-		return step, fmt.Errorf("rate %.0f: obs counters (accepted %d, overloaded %d, settled %d) disagree with shard books (accepted %d, overloaded %d)",
-			step.OfferedRate,
-			snap.Counters["tier.accepted"], snap.Counters["tier.overloaded"],
-			snap.Counters["tier.settled"], step.Accepted, step.Overloaded)
-	}
 
 	step.Advances = advances.Load()
 	step.ElapsedNs = int64(elapsed)
 	step.SustainedBPS = float64(step.Accepted) / elapsed.Seconds()
-	if h, ok := snap.Hists["tier.advance_ns"]; ok && h.Count > 0 {
+	if h, ok := reg.Snapshot().Hists["tier.advance_ns"]; ok && h.Count > 0 {
 		step.P99AdvanceNs = int64(h.Quantile(0.99))
 	}
 	step.SLOViolated = step.P99AdvanceNs > int64(cfg.slo)

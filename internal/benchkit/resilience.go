@@ -99,9 +99,10 @@ func ShardedIngestThroughput(shards int) func(b *testing.B) {
 }
 
 // ShardedIngestInstrumented is ShardedIngestThroughput with a live
-// obs.Registry attached to the tier — every counter, high-water mark and
-// latency histogram maintained on the hot path. The obs-vs-bare pair
-// gate bounds what that instrumentation may cost.
+// obs.Registry attached to the tier, so it exports: the high-water
+// marks and latency histograms are maintained on the hot path, next to
+// the outcome counters both bodies keep. The obs-vs-bare pair gate
+// bounds what export may cost.
 func ShardedIngestInstrumented(shards int) func(b *testing.B) {
 	return shardedIngestBody(shards, true)
 }

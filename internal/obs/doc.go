@@ -18,11 +18,12 @@
 //     return zero), and a nil *Registry hands out nil metrics. Disabled
 //     instrumentation therefore needs no branches at the call sites and
 //     costs one predicted nil check.
-//   - Counting is exact, never sampled: the tier's counters are part of
-//     its accounting contract (every attempted submission lands in
-//     exactly one of accepted, rejected, expired, overloaded, or
-//     read-only), and the load harness reconciles them against
-//     independent client-side tallies to the last bid.
+//   - Counting is exact, never sampled: the tier's counters are its
+//     accounting (every attempt at a submission that is not an
+//     acknowledged duplicate lands in exactly one of accepted,
+//     rejected, overloaded, read-only, or unavailable), and
+//     tiercheck.Accounting reconciles them against independent
+//     client-side tallies to the last bid.
 //   - Latency histograms observe wall-clock nanoseconds into fixed
 //     buckets (DefaultLatencyBounds: a 1-2-5 ladder, 1µs to 10s, plus
 //     overflow). Counts and per-bucket sums are exact; only the *shape*
@@ -32,6 +33,9 @@
 //     mean — so p0/min, p100/max are always exact, and any quantile
 //     whose rank lands in a uniformly-valued bucket (e.g. a single
 //     observation, or values on bucket bounds) is exact too.
+//   - A Registry.Sum is a counter derived at snapshot time from the part
+//     values the same snapshot read, so an aggregate equals the sum of
+//     its parts in every snapshot, however the parts move meanwhile.
 //   - Snapshots are plain data. Snapshot.Diff subtracts two snapshots
 //     into a window view (counters and bucket counts/sums are rates;
 //     gauges and min/max are lifetime extremes and carry through), and

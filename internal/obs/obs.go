@@ -283,6 +283,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*MaxGauge
 	hists    map[string]*Histogram
+	sums     map[string][]string // derived counter name -> part counter names
 }
 
 // NewRegistry returns an empty registry.
@@ -291,6 +292,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*MaxGauge),
 		hists:    make(map[string]*Histogram),
+		sums:     make(map[string][]string),
 	}
 }
 
@@ -344,6 +346,22 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
+// Sum registers name as a derived counter: every Snapshot reports it as
+// the sum of the part counters' values read in that same snapshot, so
+// name == Σ parts holds exactly in each snapshot even while the parts
+// move. A part that is not a registered counter reads as 0 (a sum never
+// sums other sums). Sums appear in Snapshot.Counters, where Diff and
+// JSON treat them as counters. A later Sum under the same name replaces
+// the parts; name should not also be a counter's name.
+func (r *Registry) Sum(name string, parts ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sums[name] = append([]string(nil), parts...)
+}
+
 // Snapshot is a point-in-time copy of a registry's metrics. Marshaling
 // it with encoding/json is deterministic for quiesced metrics: map keys
 // serialize in sorted order.
@@ -353,7 +371,10 @@ type Snapshot struct {
 	Hists    map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot copies every registered metric's current state.
+// Snapshot copies every registered metric's current state, reading each
+// metric once, atomically, and computing every Sum from the part values
+// it read. Metrics that move during the call may be read at different
+// instants, so only the Sum identities are exact across names.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{}
 	if r == nil {
@@ -361,10 +382,19 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(r.counters))
+	if len(r.counters)+len(r.sums) > 0 {
+		s.Counters = make(map[string]uint64, len(r.counters)+len(r.sums))
 		for name, c := range r.counters {
 			s.Counters[name] = c.Load()
+		}
+		for name, parts := range r.sums {
+			var v uint64
+			for _, p := range parts {
+				if r.counters[p] != nil {
+					v += s.Counters[p]
+				}
+			}
+			s.Counters[name] = v
 		}
 	}
 	if len(r.gauges) > 0 {

@@ -236,6 +236,78 @@ func TestRegistrySnapshotDiffAndJSON(t *testing.T) {
 	}
 }
 
+// A Sum is derived in each snapshot from the part values that snapshot
+// read, diffs and round-trips through JSON like a counter, reads a part
+// that was never registered as 0, and is a no-op on a nil registry.
+func TestRegistrySum(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.Counter("shard0.accepted"), r.Counter("shard1.accepted")
+	r.Sum("tier.accepted", "shard0.accepted", "shard1.accepted", "shard2.accepted")
+	a.Add(3)
+	b.Add(4)
+	before := r.Snapshot()
+	if got := before.Counters["tier.accepted"]; got != 7 {
+		t.Fatalf("sum = %d, want 7", got)
+	}
+	if _, ok := before.Counters["shard2.accepted"]; ok {
+		t.Fatal("an unregistered part must not appear in the snapshot")
+	}
+	r.Counter("shard2.accepted").Add(5)
+	a.Inc()
+	after := r.Snapshot()
+	if got := after.Counters["tier.accepted"]; got != 13 {
+		t.Fatalf("sum = %d, want 13", got)
+	}
+	if got := after.Diff(before).Counters["tier.accepted"]; got != 6 {
+		t.Fatalf("diff sum = %d, want 6", got)
+	}
+	j, err := json.Marshal(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(j, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Counters["tier.accepted"] != 13 {
+		t.Fatalf("JSON round trip lost the sum: %s", j)
+	}
+
+	// Parts moving while snapshots are taken: each snapshot's sum is the
+	// sum of the part values it reports.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, c := range []*Counter{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.Inc()
+				}
+			}
+		}()
+	}
+	for k := 0; k < 1000; k++ {
+		c := r.Snapshot().Counters
+		if got, want := c["tier.accepted"], c["shard0.accepted"]+c["shard1.accepted"]+c["shard2.accepted"]; got != want {
+			t.Errorf("snapshot %d: sum = %d, parts sum to %d", k, got, want)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	var nr *Registry
+	nr.Sum("tier.accepted", "shard0.accepted")
+	if s := nr.Snapshot(); s.Counters != nil {
+		t.Fatal("nil registry must stay empty")
+	}
+}
+
 // Same registry name returns the same metric object; histogram bounds
 // are fixed at first creation.
 func TestRegistryIdentity(t *testing.T) {

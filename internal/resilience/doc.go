@@ -121,14 +121,15 @@
 //
 // # Observability
 //
-// Instrumentation is opt-in and inert: pass an *obs.Registry in
-// ShardedConfig.Obs (to NewShardedService or RecoverShardedService) and
-// the tier maintains exact outcome counters (mirroring ShardCounters),
-// batch high-water marks, and latency histograms for journal writes and
-// slot advances — lock-free and allocation-free on the hot path. A nil registry costs one predicted
-// nil check per hook. Metrics are bookkeeping only: an instrumented run
-// produces byte-identical journals, invoices, and counters to a bare
-// one (property-tested in obs_test.go). The metric name contract lives
+// Counting is always on; export is opt-in. Each shard's outcome
+// counters are the tier's one ledger, which ShardStats reads. Pass an
+// *obs.Registry in ShardedConfig.Obs (to NewShardedService or
+// RecoverShardedService) to export them, with tier.* sums derived in
+// each snapshot, batch high-water marks, and latency histograms for
+// journal writes and slot advances — lock-free and allocation-free on
+// the hot path. Metrics are bookkeeping only: an exporting run produces
+// byte-identical journals, invoices, and counters to a bare one
+// (property-tested in obs_test.go). The metric name contract lives
 // in obs.go and docs/metrics.md; cmd/pricer's -load mode drives the
 // instrumented sharded tier to saturation and reports the knee.
 //
@@ -144,6 +145,7 @@
 // the same instant, tearing at most one record on one shard — the
 // cross-shard interleaving crash recovery must reconcile. cmd/pricer's
 // chaos mode drives randomized workloads through the tier at N ∈
-// {1, 2, 4, 8} under these plans, recovers, and asserts the invariants
-// above on every schedule.
+// {1, 2, 4, 8} under these plans, recovers, and asserts on every
+// schedule the invariant set internal/tiercheck owns: accounting,
+// durability, deterministic recovery, invoicing and cost recovery.
 package resilience

@@ -1,27 +1,30 @@
 package resilience
 
-// The observability contract of the durable tier. Instrumentation is
-// opt-in: pass an *obs.Registry in ShardedConfig.Obs (to a fresh or a
-// recovered tier) and the tier registers and maintains the metrics
-// below; leave it nil and every hook is a nil-receiver no-op (see
-// internal/obs). The
-// metrics are bookkeeping only — they never change admission decisions,
-// settlement order, or a single journal byte (property-tested in
-// obs_test.go), so an instrumented tier is byte-identical to a bare one.
+// The observability contract of the durable tier. Counting is always
+// on: each shard's outcome counters are the tier's one ledger, which
+// ShardStats reads. Export is opt-in: pass an *obs.Registry in
+// ShardedConfig.Obs (to a fresh or a recovered tier) and the tier
+// registers the metrics below in it; leave it nil and the counters live
+// in a private registry while every other hook is a nil-receiver no-op
+// (see internal/obs). The metrics are bookkeeping only — they never
+// change admission decisions, settlement order, or a single journal
+// byte (property-tested in obs_test.go).
 //
 // Metric names, by emitting layer (the operator-facing table with units
 // and alert guidance is docs/metrics.md):
 //
 //	shard (each partition of a ShardedService; <i> is the shard index):
 //	  shard<i>.accepted / .rejected / .overloaded / .read_only /
-//	  .unavailable / .settled / .wedged     counters mirroring ShardCounters
+//	  .unavailable / .settled / .wedged     the outcome counters
+//	                                        ShardStats reads
 //	  shard<i>.batch_highwater              peak between-slots batch length
 //	  shard<i>.journal_write_ns             per-record journal write latency
 //	                                        (the fsync latency on a FileLog)
 //
 //	tier (the ShardedService aggregate):
 //	  tier.accepted / .rejected / .overloaded / .read_only /
-//	  .unavailable / .settled / .wedged     sums of the per-shard counters
+//	  .unavailable / .settled / .wedged     sums of the per-shard counters,
+//	                                        derived in each snapshot
 //	  tier.advances                         successful slot settlements
 //	  tier.advance_ns                       AdvanceSlot wall latency histogram
 //	                                        (drain + markers + fold + settle)
@@ -43,10 +46,10 @@ import (
 	"sharedopt/internal/obs"
 )
 
-// classMetrics is one accounting class set — the seven outcome counters
-// a shard and the tier aggregate both maintain. The zero value (all nil)
-// is the disabled form.
-type classMetrics struct {
+// shardMetrics is one shard's metric set. Its outcome counters move only
+// under the shard's lock, so reading them there gives one consistent
+// ShardCounters.
+type shardMetrics struct {
 	accepted    *obs.Counter
 	rejected    *obs.Counter
 	overloaded  *obs.Counter
@@ -54,50 +57,50 @@ type classMetrics struct {
 	unavailable *obs.Counter
 	settled     *obs.Counter
 	wedged      *obs.Counter
+	batchHigh   *obs.MaxGauge // nil unless exported
 }
 
-// newClassMetrics registers the seven outcome counters under prefix
-// ("shard3" or "tier"). A nil registry yields the disabled (all-nil)
-// set.
-func newClassMetrics(reg *obs.Registry, prefix string) classMetrics {
-	return classMetrics{
-		accepted:    reg.Counter(prefix + ".accepted"),
-		rejected:    reg.Counter(prefix + ".rejected"),
-		overloaded:  reg.Counter(prefix + ".overloaded"),
-		readOnly:    reg.Counter(prefix + ".read_only"),
-		unavailable: reg.Counter(prefix + ".unavailable"),
-		settled:     reg.Counter(prefix + ".settled"),
-		wedged:      reg.Counter(prefix + ".wedged"),
-	}
-}
-
-// shardMetrics is one shard's full metric set.
-type shardMetrics struct {
-	classMetrics
-	batchHigh *obs.MaxGauge
-}
-
-// newShardMetrics registers shard i's metrics.
+// newShardMetrics registers shard i's metrics in reg. With reg nil the
+// outcome counters go to a private registry, because they are the
+// shard's accounting either way; only the gauge is dropped.
 func newShardMetrics(reg *obs.Registry, i int) shardMetrics {
-	prefix := fmt.Sprintf("shard%d", i)
+	ledger := reg
+	if ledger == nil {
+		ledger = obs.NewRegistry()
+	}
+	prefix := fmt.Sprintf("shard%d.", i)
 	return shardMetrics{
-		classMetrics: newClassMetrics(reg, prefix),
-		batchHigh:    reg.MaxGauge(prefix + ".batch_highwater"),
+		accepted:    ledger.Counter(prefix + "accepted"),
+		rejected:    ledger.Counter(prefix + "rejected"),
+		overloaded:  ledger.Counter(prefix + "overloaded"),
+		readOnly:    ledger.Counter(prefix + "read_only"),
+		unavailable: ledger.Counter(prefix + "unavailable"),
+		settled:     ledger.Counter(prefix + "settled"),
+		wedged:      ledger.Counter(prefix + "wedged"),
+		batchHigh:   reg.MaxGauge(prefix + "batch_highwater"),
 	}
 }
 
-// tierMetrics is the ShardedService-level aggregate metric set.
+// tierMetrics is the ShardedService-level metric set; nil metrics when
+// the tier exports nothing.
 type tierMetrics struct {
-	classMetrics
 	advances  *obs.Counter
 	advanceNs *obs.Histogram
 }
 
-// newTierMetrics registers the tier aggregates.
-func newTierMetrics(reg *obs.Registry) tierMetrics {
+// newTierMetrics registers the tier metrics for a tier of n shards:
+// tier.<class> as a sum of the n shard counters, and the settlement
+// metrics.
+func newTierMetrics(reg *obs.Registry, n int) tierMetrics {
+	for _, c := range []string{"accepted", "rejected", "overloaded", "read_only", "unavailable", "settled", "wedged"} {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = fmt.Sprintf("shard%d.%s", i, c)
+		}
+		reg.Sum("tier."+c, parts...)
+	}
 	return tierMetrics{
-		classMetrics: newClassMetrics(reg, "tier"),
-		advances:     reg.Counter("tier.advances"),
-		advanceNs:    reg.Histogram("tier.advance_ns", nil),
+		advances:  reg.Counter("tier.advances"),
+		advanceNs: reg.Histogram("tier.advance_ns", nil),
 	}
 }

@@ -2,10 +2,14 @@ package resilience_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sharedopt"
 	"sharedopt/internal/core"
@@ -264,5 +268,146 @@ func TestShardedRecoverExportsMetrics(t *testing.T) {
 	}
 	if writes == 0 {
 		t.Error("no post-recovery journal write was timed")
+	}
+}
+
+// flakyLink loses the reply of every k-th call after the shard has
+// decided it, so concurrent submitters and settlement rounds see
+// ErrShardUnavailable now and then. Safe for concurrent use.
+type flakyLink struct {
+	ShardTransport
+	k     uint64
+	calls atomic.Uint64
+}
+
+func (l *flakyLink) lose(err error) error {
+	if err == nil && l.calls.Add(1)%l.k == 0 {
+		return fmt.Errorf("%w: reply lost", ErrShardUnavailable)
+	}
+	return err
+}
+
+func (l *flakyLink) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
+	res, err := l.ShardTransport.Submit(ctx, rec)
+	return res, l.lose(err)
+}
+
+func (l *flakyLink) Advance(ctx context.Context, window int) error {
+	return l.lose(l.ShardTransport.Advance(ctx, window))
+}
+
+// Every snapshot taken while the tier is busy must satisfy
+// tier.X == Σ_i shard<i>.X for all seven outcome classes: the tier
+// counters are derived from the shard counters read in the same
+// snapshot, so no interleaving of concurrent submitters, settlement
+// rounds, wedges and lost replies can split them.
+func TestShardedTierSumsExact(t *testing.T) {
+	const shards, submitters, bidsEach = 4, 8, 250
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(40)}}
+	reg := obs.NewRegistry()
+	links := make([]ShardTransport, shards)
+	for i := range links {
+		var w io.Writer = new(MemLog)
+		if i == 3 {
+			// Shard 3 wedges mid-run, moving wedged and read_only.
+			w = NewFaultWriter(w, FaultPlan{Kind: FaultErr, Record: 150})
+		}
+		h, err := NewShardHost(sharedopt.Additive, catalog, 10_000, i, shards, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links[i] = h
+	}
+	// Shard 1 loses replies, moving unavailable (the in-doubt bids are
+	// resolved into accepted at the next settlement).
+	links[1] = &flakyLink{ShardTransport: links[1], k: 13}
+	ss, err := NewShardedServiceOver(sharedopt.Additive, catalog, 10_000, links,
+		ShardedConfig{MaxBatch: 16, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < bidsEach; k++ {
+				u := core.UserID(g*bidsEach + k + 1)
+				tiercheck.Retry(func() error {
+					// A one-slot lead keeps valid bids ahead of the ticker.
+					slot := ss.Now() + 2
+					if k%9 == 0 {
+						slot -= 2 // already settled: rejected
+					}
+					return ss.SubmitAdditiveBid(1, core.OnlineBid{User: u, Start: slot, End: slot,
+						Values: []econ.Money{econ.FromCents(int64(50 + k%200))}})
+				})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var settleWG sync.WaitGroup
+	settleWG.Add(1)
+	go func() {
+		defer settleWG.Done()
+		tk := time.NewTicker(200 * time.Microsecond)
+		defer tk.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tk.C:
+				ss.AdvanceSlot()
+			}
+		}
+	}()
+
+	classes := []string{"accepted", "rejected", "overloaded", "read_only", "unavailable", "settled", "wedged"}
+	// split returns the first class whose tier counter is not the sum of
+	// the shard counters in snap, or "".
+	split := func(snap obs.Snapshot) string {
+		for _, c := range classes {
+			var sum uint64
+			for i := 0; i < shards; i++ {
+				sum += snap.Counters[fmt.Sprintf("shard%d.%s", i, c)]
+			}
+			if got := snap.Counters["tier."+c]; got != sum {
+				return fmt.Sprintf("tier.%s = %d, shards sum to %d", c, got, sum)
+			}
+		}
+		return ""
+	}
+	snapshots, bad, first := 0, 0, ""
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		snapshots++
+		if msg := split(reg.Snapshot()); msg != "" {
+			if bad++; first == "" {
+				first = msg
+			}
+		}
+	}
+	settleWG.Wait()
+	if bad > 0 {
+		t.Errorf("%d of %d snapshots taken under load split tier.* from the shards; first: %s", bad, snapshots, first)
+	}
+	t.Logf("%d snapshots under load", snapshots)
+	if err := tiercheck.Retry(func() error { _, err := ss.AdvanceSlot(); return err }); err != nil {
+		t.Fatal(err)
+	}
+	final := reg.Snapshot()
+	if msg := split(final); msg != "" {
+		t.Errorf("quiesced: %s", msg)
+	}
+	for _, c := range classes {
+		if final.Counters["tier."+c] == 0 {
+			t.Errorf("tier.%s never moved; the workload must exercise every class: %v", c, final.Counters)
+		}
 	}
 }

@@ -91,11 +91,11 @@ type ShardedConfig struct {
 	// when the shards sit behind a real network. 0 means no deadline,
 	// which is right for the in-process loopback transport.
 	CallTimeout time.Duration
-	// Obs, if non-nil, receives the tier's metrics: per-shard and
-	// aggregate outcome counters, batch high-water marks, per-record
-	// journal write latency, and slot-advance latency. See obs.go for
-	// the name contract. Instrumentation is pure bookkeeping — journal
-	// bytes and settlement are byte-identical with Obs nil or set.
+	// Obs, if non-nil, exports the tier's metrics (see obs.go): the
+	// outcome counters ShardStats reads, which the tier keeps privately
+	// when Obs is nil, their tier sums, batch high-water marks, and
+	// journal-write and slot-advance latency. Give each tier its own
+	// registry. Journal bytes and settlement are byte-identical either way.
 	Obs *obs.Registry
 }
 
@@ -174,9 +174,8 @@ type shard struct {
 	// the frozen batch.
 	settling bool
 	inflight int
-	wedged   error // non-nil once read-only; wraps ErrShardWedged
-	counters ShardCounters
-	om       shardMetrics // zero value when the tier is uninstrumented
+	wedged   error        // non-nil once read-only; wraps ErrShardWedged
+	om       shardMetrics // the outcome counters; move only under mu
 }
 
 func newShard(link ShardTransport, om shardMetrics) *shard {
@@ -217,7 +216,7 @@ type ShardedService struct {
 	phase    int
 	shards   []*shard
 	settle   *sharedopt.Service // derived global game; never journaled
-	tm       tierMetrics        // zero value when uninstrumented
+	tm       tierMetrics        // zero value when not exported
 }
 
 // gameName maps a kind to its journaled name.
@@ -334,7 +333,7 @@ func NewShardedServiceOver(kind sharedopt.GameKind, opts []sharedopt.Optimizatio
 		timeout:  cfg.CallTimeout,
 		shards:   make([]*shard, n),
 		settle:   settle,
-		tm:       newTierMetrics(cfg.Obs),
+		tm:       newTierMetrics(cfg.Obs, n),
 	}
 	want := optCosts(opts)
 	for i, link := range links {
@@ -400,13 +399,22 @@ func (s *ShardedService) WedgedShards() []int {
 	return out
 }
 
-// ShardStats returns a copy of every shard's counters, indexed by shard.
+// ShardStats returns every shard's counters, indexed by shard; they are
+// the counters the tier exports as shard<i>.*.
 func (s *ShardedService) ShardStats() []ShardCounters {
 	out := make([]ShardCounters, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.counters
-		out[i].Pending = uint64(len(sh.batch) + len(sh.frozen))
+		m := sh.om
+		out[i] = ShardCounters{
+			Accepted:    m.accepted.Load(),
+			Rejected:    m.rejected.Load(),
+			Overloaded:  m.overloaded.Load(),
+			ReadOnly:    m.readOnly.Load(),
+			Unavailable: m.unavailable.Load(),
+			Settled:     m.settled.Load(),
+			Pending:     uint64(len(sh.batch) + len(sh.frozen)),
+		}
 		sh.mu.Unlock()
 	}
 	return out
@@ -418,7 +426,6 @@ func (s *ShardedService) wedgeLocked(i int, cause error) {
 	if sh.wedged == nil {
 		sh.wedged = fmt.Errorf("%w: shard %d: %w", ErrShardWedged, i, cause)
 		sh.om.wedged.Inc()
-		s.tm.wedged.Inc()
 	}
 }
 
@@ -465,17 +472,13 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 		sh.idle.Wait()
 	}
 	if sh.wedged != nil {
-		sh.counters.ReadOnly++
 		sh.om.readOnly.Inc()
-		s.tm.readOnly.Inc()
 		err := sh.wedged
 		sh.mu.Unlock()
 		return err
 	}
 	if s.maxBatch > 0 && len(sh.batch)+sh.inflight >= s.maxBatch {
-		sh.counters.Overloaded++
 		sh.om.overloaded.Inc()
-		s.tm.overloaded.Inc()
 		pending := len(sh.batch) + sh.inflight
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: shard %d batch full (%d pending)", ErrOverloaded, i, pending)
@@ -497,23 +500,17 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 		switch {
 		case errors.Is(err, ErrJournalBroken):
 			s.wedgeLocked(i, err)
-			sh.counters.ReadOnly++
 			sh.om.readOnly.Inc()
-			s.tm.readOnly.Inc()
 			return sh.wedged
 		case errors.Is(err, ErrShardUnavailable):
-			sh.counters.Unavailable++
 			sh.om.unavailable.Inc()
-			s.tm.unavailable.Inc()
 			// Fate unknown: the shard may have journaled the bid before
 			// the reply was lost. Remember it so settlement resolves it
 			// by idempotent resubmission before the next marker.
 			sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digest(rec.canonical())})
 			return fmt.Errorf("resilience: shard %d: %w", i, err)
 		default:
-			sh.counters.Rejected++
 			sh.om.rejected.Inc()
-			s.tm.rejected.Inc()
 			if len(sh.indoubt) > 0 {
 				// Definitively rejected: nothing durable to resolve.
 				sh.dropIndoubtLocked(digest(rec.canonical()))
@@ -529,9 +526,7 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 	// either way the bid is durable exactly once and must fold exactly
 	// once.
 	p.seq = res.Seq
-	sh.counters.Accepted++
 	sh.om.accepted.Inc()
-	s.tm.accepted.Inc()
 	sh.batch = append(sh.batch, p)
 	sh.batched[res.Seq] = true
 	sh.om.batchHigh.Observe(uint64(len(sh.batch)))
@@ -549,15 +544,11 @@ func (s *ShardedService) foldBatchLocked(i int, batch []pendingBid) {
 	for k, p := range batch {
 		if err := p.applyTo(s.settle); err != nil {
 			s.wedgeLocked(i, fmt.Errorf("%w: settling accepted bid of user %d: %w", ErrPolicyDiverged, p.user(), err))
-			sh.counters.Settled += uint64(k)
 			sh.om.settled.Add(uint64(k))
-			s.tm.settled.Add(uint64(k))
 			return
 		}
 	}
-	sh.counters.Settled += uint64(len(batch))
 	sh.om.settled.Add(uint64(len(batch)))
-	s.tm.settled.Add(uint64(len(batch)))
 }
 
 // foldFrozenLocked folds a frozen batch in journal order: pipelined
@@ -603,9 +594,7 @@ func (s *ShardedService) resolveIndoubtLocked(i int, sh *shard) bool {
 			continue // a later retry already batched it
 		}
 		in.p.seq = res.Seq
-		sh.counters.Accepted++
 		sh.om.accepted.Inc()
-		s.tm.accepted.Inc()
 		sh.batch = append(sh.batch, in.p)
 		sh.batched[res.Seq] = true
 	}
@@ -713,9 +702,7 @@ func (s *ShardedService) settleRoundLocked(closing bool) (core.SlotReport, error
 				sh.marked = true
 			case errors.Is(err, ErrShardUnavailable):
 				unreachable++
-				sh.counters.Unavailable++
 				sh.om.unavailable.Inc()
-				s.tm.unavailable.Inc()
 			default:
 				s.wedgeLocked(i, err)
 			}

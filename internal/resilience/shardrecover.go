@@ -136,7 +136,7 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 		timeout:  cfg.CallTimeout,
 		shards:   make([]*shard, n),
 		settle:   settle,
-		tm:       newTierMetrics(cfg.Obs),
+		tm:       newTierMetrics(cfg.Obs, n),
 	}
 
 	// Replay each shard's prefix into a fresh host, and group its bids
@@ -180,9 +180,7 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 			}
 		}
 		// Every journaled bid was accepted once; the counters start there.
-		sh.counters.Accepted = host.bids
 		sh.om.accepted.Add(host.bids)
-		s.tm.accepted.Add(host.bids)
 	}
 
 	// Reconcile the slot frontier: the maximum adv count across shards.
