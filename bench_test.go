@@ -98,6 +98,14 @@ func BenchmarkAddOnGame(b *testing.B) { benchkit.AddOnGame()(b) }
 // users over 12 optimizations — one Figure 2(d) trial.
 func BenchmarkSubstOnGame(b *testing.B) { benchkit.SubstOnGame()(b) }
 
+// BenchmarkAddOnSeason measures one season-shaped additive game: 200
+// slots of 48 arrivals each over 12 optimizations.
+func BenchmarkAddOnSeason(b *testing.B) { benchkit.AddOnSeason()(b) }
+
+// BenchmarkSubstOnSeason measures one season-shaped SubstOn game: 200
+// slots of 48 arrivals each, every bid naming 3 of 12 substitutes.
+func BenchmarkSubstOnSeason(b *testing.B) { benchkit.SubstOnSeason()(b) }
+
 // BenchmarkServiceGame measures one complete 12-slot, 48-user additive
 // pricing period through the plain in-memory service layer.
 func BenchmarkServiceGame(b *testing.B) { benchkit.ServiceGame()(b) }

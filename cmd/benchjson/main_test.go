@@ -81,6 +81,7 @@ func TestKeyBenchmarksRegistered(t *testing.T) {
 	want := map[string]bool{
 		"Shapley1k": true, "Shapley10k": true, "Shapley100k": true,
 		"AddOnGame": true, "SubstOnGame": true,
+		"AddOnSeason": true, "SubstOnSeason": true,
 		"ServiceGame":    true,
 		"ShardedIngest1": true, "ShardedIngest4": true, "ShardedIngest4Obs": true,
 		"ShardedIngest4Net": true,

@@ -110,6 +110,134 @@ func SubstOnGame() func(b *testing.B) {
 	}
 }
 
+// seasonArrival is one tenant of a season-shaped game: the slot after
+// which it bids (0 = before slot 1), its additive optimization or
+// substitute set, its bid, and, for a fifth of tenants, a revision sent
+// right after it that raises every value and may extend the end.
+type seasonArrival struct {
+	after core.Slot
+	opt   core.OptID
+	set   []core.OptID
+	bid   core.OnlineBid
+	rev   *core.OnlineBid
+}
+
+// Season-shaped games: the durable tier's season and subst-season
+// workloads (bench/tier.go) at a fixed arrival count per slot, in one
+// process and without the tier around the mechanism.
+const (
+	seasonArrivals = 48  // tenants per slot
+	seasonSlots    = 200 // slots per game
+	seasonOpts     = 12  // catalog size
+	seasonSubsts   = 3   // substitutes per substitutive bid
+	seasonMaxLen   = 48  // bid lengths are 1..seasonMaxLen slots
+)
+
+// seasonGame draws a season-shaped game: seasonArrivals tenants bid
+// after every slot, each starting one or two slots later for up to
+// seasonMaxLen slots, at 1–20 cents a slot, against a catalog of
+// seasonOpts $20 optimizations.
+func seasonGame(seed uint64, substitutive bool) ([]core.Optimization, []seasonArrival) {
+	r := stats.NewRNG(seed)
+	catalog := make([]core.Optimization, seasonOpts)
+	for i := range catalog {
+		catalog[i] = core.Optimization{ID: core.OptID(i + 1), Cost: econ.FromDollars(20)}
+	}
+	values := func(n int) []econ.Money {
+		out := make([]econ.Money, n)
+		for k := range out {
+			out[k] = econ.FromCents(1 + int64(r.Intn(20)))
+		}
+		return out
+	}
+	var arrivals []seasonArrival
+	for after := core.Slot(0); after < seasonSlots-2; after++ {
+		for range seasonArrivals {
+			start := after + 1 + core.Slot(r.Intn(2))
+			end := min(start+core.Slot(r.Intn(seasonMaxLen)), seasonSlots)
+			a := seasonArrival{after: after, bid: core.OnlineBid{
+				User: core.UserID(len(arrivals) + 1), Start: start, End: end,
+				Values: values(int(end - start + 1)),
+			}}
+			if substitutive {
+				for _, k := range r.SampleK(seasonOpts, seasonSubsts) {
+					a.set = append(a.set, core.OptID(k+1))
+				}
+			} else {
+				a.opt = core.OptID(1 + r.Intn(seasonOpts))
+			}
+			if r.Intn(5) == 0 {
+				rev := a.bid
+				rev.End = min(end+core.Slot(r.Intn(5)), seasonSlots)
+				rev.Values = values(int(rev.End - start + 1))
+				for k, v := range a.bid.Values {
+					rev.Values[k] = v + econ.FromCents(1+int64(r.Intn(10)))
+				}
+				a.rev = &rev
+			}
+			arrivals = append(arrivals, a)
+		}
+	}
+	return catalog, arrivals
+}
+
+// playSeason plays one season-shaped game: after every slot it submits
+// that slot's arrivals, each followed by its revision if any, then
+// advances the game.
+func playSeason(b *testing.B, arrivals []seasonArrival, submit func(seasonArrival, core.OnlineBid) error, advance func()) {
+	next := 0
+	for t := core.Slot(0); t < seasonSlots; t++ {
+		for ; next < len(arrivals) && arrivals[next].after == t; next++ {
+			a := arrivals[next]
+			if err := submit(a, a.bid); err != nil {
+				b.Fatal(err)
+			}
+			if a.rev != nil {
+				if err := submit(a, *a.rev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		advance()
+	}
+}
+
+// AddOnSeason returns the benchmark body for one season-shaped additive
+// game (AdditiveGame, one AddOn per optimization): 200 slots of 48
+// arrivals each over 12 optimizations.
+func AddOnSeason() func(b *testing.B) {
+	return func(b *testing.B) {
+		catalog, arrivals := seasonGame(12, false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			game := core.NewAdditiveGame(catalog)
+			playSeason(b, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
+				return game.Submit(a.opt, bid)
+			}, func() { game.AdvanceSlot() })
+			game.Close()
+		}
+	}
+}
+
+// SubstOnSeason returns the benchmark body for one season-shaped SubstOn
+// game: 200 slots of 48 arrivals each, every bid naming 3 of 12
+// substitutes.
+func SubstOnSeason() func(b *testing.B) {
+	return func(b *testing.B) {
+		catalog, arrivals := seasonGame(13, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			game := core.NewSubstOn(catalog)
+			playSeason(b, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
+				return game.Submit(core.OnlineSubstBid{User: bid.User, Opts: a.set, Start: bid.Start, End: bid.End, Values: bid.Values})
+			}, func() { game.AdvanceSlot() })
+			game.Close()
+		}
+	}
+}
+
 // engineHashJoinBody is the shared body of the hash-join benchmarks: the
 // 10k × 10k hash join plus grouped count through the columnar engine
 // (the workload tracked since BENCH_PR2.json), executed with the given
@@ -346,6 +474,8 @@ func Key() []struct {
 		{"Shapley100k", Shapley(100_000)},
 		{"AddOnGame", AddOnGame()},
 		{"SubstOnGame", SubstOnGame()},
+		{"AddOnSeason", AddOnSeason()},
+		{"SubstOnSeason", SubstOnSeason()},
 		{"ServiceGame", ServiceGame()},
 		{"ShardedIngest1", ShardedIngestThroughput(1)},
 		{"ShardedIngest4", ShardedIngestThroughput(4)},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sharedopt/internal/econ"
 )
@@ -45,15 +47,16 @@ func (b OnlineBid) Total() econ.Money {
 	return t
 }
 
-// onlineUser is the mechanism's record of one user's declared value
-// function and service status. The value function is a dense valueCurve,
-// so residual lookups in AdvanceSlot are O(1).
+// onlineUser is AddOn's record of one present user: their declared value
+// function, a dense valueCurve so residual lookups in AdvanceSlot are
+// O(1), and whether they have joined the serviced set CSj.
 type onlineUser struct {
 	valueCurve
-	serviced bool       // member of the cumulative serviced set CSj
-	paid     bool       // departed and charged
-	payment  econ.Money // final payment, set when paid
+	id       UserID
+	serviced bool // member of the cumulative serviced set CSj
 }
+
+func byUser(a, b *onlineUser) int { return cmp.Compare(a.id, b.id) }
 
 // AddOn is the AddOn Mechanism (paper, Mechanism 2): the online
 // cost-sharing mechanism for a single additive optimization across
@@ -72,22 +75,37 @@ type onlineUser struct {
 // share in force when her bid interval ends. The mechanism is truthful in
 // the model-free sense and cost-recovering (paper, Section 5.2).
 //
-// AdvanceSlot runs the mechanism on the sorted-prefix form of the Shapley
-// mechanism over a scratch buffer reused across slots, so a warm game
-// allocates only its per-slot report.
+// The game is indexed by slot events, so a slot's work is proportional to
+// the users present in it, not to everyone seen so far. A user is present
+// from their first bid until they are charged. The not-yet-serviced present
+// users are a pending list, the only users a slot's Shapley pass reads;
+// the serviced present users are an active list, kept in user order, that
+// newly serviced users are merged into and that is pruned at departures;
+// and every user is filed under their end slot, again under a later end if
+// a revision extends it. A charged user leaves behind only their payment:
+// CSj keeps counting them through servicedCount alone. The Shapley pass
+// runs on the sorted-prefix form of the mechanism over a scratch buffer
+// reused across slots, so a warm game allocates only its per-slot report.
 //
 // Because optimizations are additive, a game with several optimizations is
 // a set of independent AddOn instances; see AdditiveGame.
 type AddOn struct {
-	opt   Optimization
-	now   Slot // last processed slot; 0 before the first AdvanceSlot
-	users map[UserID]*onlineUser
+	opt Optimization
+	now Slot // last processed slot; 0 before the first AdvanceSlot
+
+	users    map[UserID]*onlineUser // present users
+	pending  []*onlineUser          // present users not yet serviced, in no order
+	active   []*onlineUser          // present serviced users, by user
+	ends     map[Slot][]UserID      // users by end slot; stale once an end moved
+	departed map[UserID]econ.Money  // charged users' payments
+	revenue  econ.Money             // sum of departed
 
 	implemented   bool
 	implementedAt Slot
-	servicedCount int // |CSj|, maintained incrementally
+	servicedCount int // |CSj|, departed members included
 
-	scratch []userBid // per-slot bidder buffer, reused across AdvanceSlot
+	scratch []userBid     // per-slot bidder buffer, reused across AdvanceSlot
+	fresh   []*onlineUser // per-slot newly serviced users, reused likewise
 }
 
 // NewAddOn returns a new online game for one optimization. It panics if
@@ -96,7 +114,12 @@ func NewAddOn(opt Optimization) *AddOn {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
-	return &AddOn{opt: opt, users: make(map[UserID]*onlineUser)}
+	return &AddOn{
+		opt:      opt,
+		users:    make(map[UserID]*onlineUser),
+		ends:     make(map[Slot][]UserID),
+		departed: make(map[UserID]econ.Money),
+	}
 }
 
 // Opt returns the optimization being priced.
@@ -122,15 +145,26 @@ func (a *AddOn) Submit(bid OnlineBid) error {
 	if err := checkStart(bid, a.now); err != nil {
 		return err
 	}
-	u := a.users[bid.User]
-	if u == nil {
-		a.users[bid.User] = &onlineUser{valueCurve: newValueCurve(bid)}
-		return nil
-	}
-	if err := checkPresent(bid.User, u.paid); err != nil {
+	_, gone := a.departed[bid.User]
+	if err := checkPresent(bid.User, gone); err != nil {
 		return err
 	}
-	return u.revise(bid, a.now)
+	u := a.users[bid.User]
+	if u == nil {
+		u = &onlineUser{valueCurve: newValueCurve(bid), id: bid.User}
+		a.users[bid.User] = u
+		a.pending = append(a.pending, u)
+		a.ends[u.end] = append(a.ends[u.end], u.id)
+		return nil
+	}
+	prevEnd := u.end
+	if err := u.revise(bid, a.now); err != nil {
+		return err
+	}
+	if u.end != prevEnd {
+		a.ends[u.end] = append(a.ends[u.end], u.id)
+	}
+	return nil
 }
 
 // AdvanceSlot processes the next time slot: it recomputes the serviced set
@@ -138,79 +172,137 @@ func (a *AddOn) Submit(bid OnlineBid) error {
 // previously serviced users in), grants access to newly serviced users,
 // and charges users whose interval ends at this slot.
 func (a *AddOn) AdvanceSlot() SlotReport {
+	report := SlotReport{Departures: make(map[UserID]econ.Money)}
+	a.serve(&report)
+	report.Slot = a.now
+	if len(a.active) > 0 {
+		report.Active = a.appendActive(make([]Grant, 0, len(a.active)))
+	}
+	a.charge(report.Departures)
+	return report
+}
+
+// serve processes the next slot up to its grants: it runs the Shapley
+// Value Mechanism over the pending users' residual bids, with CSj forced
+// in, and appends the implementation and the new grants, in user order,
+// to r.
+func (a *AddOn) serve(r *SlotReport) {
 	a.now++
 	t := a.now
-	report := SlotReport{Slot: t, Departures: make(map[UserID]econ.Money)}
-
-	// Collect residual bids of not-yet-serviced users into the reusable
-	// scratch buffer; previously serviced users are the forced set and
-	// only contribute their count.
+	// Collect residual bids of pending users into the reusable scratch
+	// buffer, dropping the users serviced or charged since the last pass
+	// (a present user's end is never before the slot being processed).
+	// Previously serviced users are the forced set and only contribute
+	// their count.
 	bidders := a.scratch[:0]
-	for id, u := range a.users {
-		if u.serviced || t < u.start {
+	pending := a.pending[:0]
+	for _, u := range a.pending {
+		if u.serviced || u.end < t {
 			continue
 		}
-		if r := u.residual(t); r > 0 {
-			bidders = append(bidders, userBid{user: id, bid: r})
+		pending = append(pending, u)
+		if t < u.start {
+			continue
+		}
+		if res := u.residual(t); res > 0 {
+			bidders = append(bidders, userBid{user: u.id, bid: res})
 		}
 	}
+	clear(a.pending[len(pending):])
+	a.pending = pending
 	sortBidsDesc(bidders)
 	k := servicedPrefix(a.opt.Cost, bidders, a.servicedCount)
+	a.scratch = bidders
 
 	if k+a.servicedCount > 0 && !a.implemented {
 		a.implemented = true
 		a.implementedAt = t
-		report.Implemented = []OptID{a.opt.ID}
+		r.Implemented = append(r.Implemented, a.opt.ID)
 	}
+	if k == 0 {
+		return
+	}
+	fresh := a.fresh[:0]
 	for _, ub := range bidders[:k] {
-		a.users[ub.user].serviced = true
-		a.servicedCount++
-		report.NewGrants = append(report.NewGrants, Grant{User: ub.user, Opt: a.opt.ID})
+		u := a.users[ub.user]
+		u.serviced = true
+		fresh = append(fresh, u)
 	}
-	for id, u := range a.users {
-		if u.serviced && t >= u.start && t <= u.end {
-			report.Active = append(report.Active, Grant{User: id, Opt: a.opt.ID})
-		}
+	a.servicedCount += k
+	slices.SortFunc(fresh, byUser)
+	for _, u := range fresh {
+		r.NewGrants = append(r.NewGrants, Grant{User: u.id, Opt: a.opt.ID})
 	}
-	sortGrants(report.NewGrants)
-	sortGrants(report.Active)
+	a.active = mergeSorted(a.active, fresh, byUser)
+	clear(fresh)
+	a.fresh = fresh[:0]
+}
 
-	// Charge users whose bid interval ends now. Serviced users pay the
-	// current (lowest so far) share; never-serviced users pay nothing.
-	// A charged user's declared values play no further part, so her
-	// curve is released.
-	share := a.currentShare()
-	for id, u := range a.users {
-		if u.paid || u.end != t {
-			continue
-		}
-		u.paid = true
-		u.release()
-		if u.serviced {
-			u.payment = share
-		}
-		report.Departures[id] = u.payment
+// appendActive appends the grants of the serviced users present in the
+// slot just served, in user order.
+func (a *AddOn) appendActive(dst []Grant) []Grant {
+	for _, u := range a.active {
+		dst = append(dst, Grant{User: u.id, Opt: a.opt.ID})
 	}
-	a.scratch = bidders
-	return report
+	return dst
+}
+
+// charge charges the users whose interval ends at the slot just served,
+// adding their payments to departures, and drops them: serviced users pay
+// the current (lowest so far) share, never-serviced users pay nothing.
+func (a *AddOn) charge(departures map[UserID]econ.Money) {
+	t := a.now
+	share := a.currentShare()
+	servicedLeft := false
+	for _, id := range a.ends[t] {
+		u := a.users[id]
+		if u.end != t {
+			continue // filed again under a later end
+		}
+		var payment econ.Money
+		if u.serviced {
+			payment = share
+			servicedLeft = true
+		}
+		departures[id] += payment
+		a.depart(u, payment)
+	}
+	delete(a.ends, t)
+	if servicedLeft {
+		a.active = slices.DeleteFunc(a.active, func(u *onlineUser) bool { return u.end == t })
+	}
+}
+
+// depart records a charged user's payment and forgets everything else
+// about them. A pending list may still point at them until its next pass,
+// so their curve is released here.
+func (a *AddOn) depart(u *onlineUser, payment econ.Money) {
+	a.departed[u.id] = payment
+	a.revenue += payment
+	delete(a.users, u.id)
+	u.release()
 }
 
 // Close settles every user who has not yet paid, charging serviced users
 // the current cost-share. Call it at the end of the pricing period T, after
-// the final AdvanceSlot. It returns the payments charged by this call.
+// the final AdvanceSlot. It returns the payments charged by this call, and
+// leaves the game holding only payments.
 func (a *AddOn) Close() map[UserID]econ.Money {
 	share := a.currentShare()
-	settled := make(map[UserID]econ.Money)
+	settled := make(map[UserID]econ.Money, len(a.users))
 	for id, u := range a.users {
-		if u.paid {
-			continue
-		}
-		u.paid = true
+		var payment econ.Money
 		if u.serviced {
-			u.payment = share
+			payment = share
 		}
-		settled[id] = u.payment
+		settled[id] = payment
+		a.depart(u, payment)
 	}
+	// Fresh containers: Go maps never shrink, so clearing them would
+	// keep the period's buckets.
+	a.users = make(map[UserID]*onlineUser)
+	a.ends = make(map[Slot][]UserID)
+	a.pending, a.active = nil, nil
 	return settled
 }
 
@@ -226,23 +318,12 @@ func (a *AddOn) currentShare() econ.Money {
 // Payment returns the user's final payment and whether she has been
 // charged yet.
 func (a *AddOn) Payment(u UserID) (econ.Money, bool) {
-	usr := a.users[u]
-	if usr == nil || !usr.paid {
-		return 0, false
-	}
-	return usr.payment, true
+	p, ok := a.departed[u]
+	return p, ok
 }
 
 // TotalRevenue returns the sum of all payments charged so far.
-func (a *AddOn) TotalRevenue() econ.Money {
-	var total econ.Money
-	for _, u := range a.users {
-		if u.paid {
-			total += u.payment
-		}
-	}
-	return total
-}
+func (a *AddOn) TotalRevenue() econ.Money { return a.revenue }
 
 // CostIncurred returns the optimization cost if it was implemented, else 0.
 func (a *AddOn) CostIncurred() econ.Money {
@@ -290,21 +371,26 @@ func (g *AdditiveGame) Submit(opt OptID, bid OnlineBid) error {
 
 // AdvanceSlot processes the next slot in every per-optimization game and
 // merges the reports. Departure payments are summed across optimizations.
+// The games run in ascending optimization order and each reports its
+// grants in user order, so the merged lists come out sorted as they are
+// appended, and the merged Active list is allocated once, at its size.
 func (g *AdditiveGame) AdvanceSlot() SlotReport {
 	g.now++
 	merged := SlotReport{Slot: g.now, Departures: make(map[UserID]econ.Money)}
+	active := 0
 	for _, id := range g.order {
-		r := g.games[id].AdvanceSlot()
-		merged.Implemented = append(merged.Implemented, r.Implemented...)
-		merged.NewGrants = append(merged.NewGrants, r.NewGrants...)
-		merged.Active = append(merged.Active, r.Active...)
-		for u, p := range r.Departures {
-			merged.Departures[u] += p
-		}
+		a := g.games[id]
+		a.serve(&merged)
+		active += len(a.active)
 	}
-	sortOpts(merged.Implemented)
-	sortGrants(merged.NewGrants)
-	sortGrants(merged.Active)
+	if active > 0 {
+		merged.Active = make([]Grant, 0, active)
+	}
+	for _, id := range g.order {
+		a := g.games[id]
+		merged.Active = a.appendActive(merged.Active)
+		a.charge(merged.Departures)
+	}
 	return merged
 }
 

@@ -76,16 +76,16 @@ func sameOptSet(a, b []OptID) bool {
 }
 
 // Validator applies the online admission rules without running a
-// mechanism. It holds the last processed slot and each user's declared
-// curves — one per optimization for additive bids, one curve plus the
-// substitute set for substitutive bids — and gives every bid exactly the
-// verdict AdditiveGame.Submit or SubstOn.Submit would give in the same
-// state, error text included. A user counts as departed once her curve's
-// end slot has been processed (end ≤ now): that is the slot at which AddOn
-// and SubstOn charge her and mark her paid. Judging a departed user's bid
-// needs only that interval, so Advance drops the values of the curves
-// ending at the processed slot. Close has no counterpart here; a caller
-// that closes the period refuses later bids itself.
+// mechanism. It holds the last processed slot and each present user's
+// declared curves — one per optimization for additive bids, one curve plus
+// the substitute set for substitutive bids — and gives every bid exactly
+// the verdict AdditiveGame.Submit or SubstOn.Submit would give in the same
+// state, error text included. A user departs once their curve's end slot
+// has been processed: that is the slot at which AddOn and SubstOn charge
+// them and drop them. Judging a departed user's bid needs only the fact
+// that they departed, so Advance deletes the curves ending at the processed
+// slot and keeps one departed mark per curve. Close has no counterpart
+// here; a caller that closes the period refuses later bids itself.
 //
 // A Validator is not safe for concurrent use.
 type Validator struct {
@@ -96,7 +96,16 @@ type Validator struct {
 	// declared or last extended. A revision that extends a curve files
 	// it again; the entry left in the earlier bucket no longer matches
 	// the curve's end and is skipped.
-	ends map[Slot][]*declared
+	ends     map[Slot][]curveKey
+	departed map[curveKey]struct{}
+}
+
+// curveKey names one declared curve: an additive user's curve for one
+// optimization, or a substitutive user's curve (subst set, opt unused).
+type curveKey struct {
+	user  UserID
+	opt   OptID
+	subst bool
 }
 
 // substDeclared is one substitutive user's declared demand.
@@ -111,7 +120,8 @@ func NewValidator(opts []Optimization) *Validator {
 	v := &Validator{
 		additive: make(map[OptID]map[UserID]*declared, len(opts)),
 		subst:    make(map[UserID]*substDeclared),
-		ends:     make(map[Slot][]*declared),
+		ends:     make(map[Slot][]curveKey),
+		departed: make(map[curveKey]struct{}),
 	}
 	for _, o := range opts {
 		v.additive[o.ID] = make(map[UserID]*declared)
@@ -122,23 +132,34 @@ func NewValidator(opts []Optimization) *Validator {
 // Now returns the last processed slot.
 func (v *Validator) Now() Slot { return v.now }
 
-// Advance records that the next slot has been processed, and releases
-// the values of the curves that end at it.
+// Advance records that the next slot has been processed, and marks the
+// users whose curves end at it departed.
 func (v *Validator) Advance() {
 	v.now++
-	for _, d := range v.ends[v.now] {
-		if d.end == v.now {
-			d.values = nil
+	for _, k := range v.ends[v.now] {
+		// An entry whose curve no longer ends here was filed again
+		// under a later end.
+		if k.subst {
+			if v.subst[k.user].end != v.now {
+				continue
+			}
+			delete(v.subst, k.user)
+		} else {
+			if v.additive[k.opt][k.user].end != v.now {
+				continue
+			}
+			delete(v.additive[k.opt], k.user)
 		}
+		v.departed[k] = struct{}{}
 	}
 	delete(v.ends, v.now)
 }
 
 // fileByEnd files a curve that was just declared or revised under its
 // end slot, unless it is already filed there (its end was prevEnd).
-func (v *Validator) fileByEnd(d *declared, prevEnd Slot) {
+func (v *Validator) fileByEnd(k curveKey, d *declared, prevEnd Slot) {
 	if d.end != prevEnd {
-		v.ends[d.end] = append(v.ends[d.end], d)
+		v.ends[d.end] = append(v.ends[d.end], k)
 	}
 }
 
@@ -154,22 +175,24 @@ func (v *Validator) AdmitAdditive(opt OptID, bid OnlineBid) error {
 	if err := checkStart(bid, v.now); err != nil {
 		return err
 	}
+	k := curveKey{user: bid.User, opt: opt}
+	_, gone := v.departed[k]
+	if err := checkPresent(bid.User, gone); err != nil {
+		return err
+	}
 	users := v.additive[opt]
 	d := users[bid.User]
 	if d == nil {
 		first := newDeclared(bid)
 		users[bid.User] = &first
-		v.fileByEnd(&first, 0)
+		v.fileByEnd(k, &first, 0)
 		return nil
-	}
-	if err := checkPresent(bid.User, d.end <= v.now); err != nil {
-		return err
 	}
 	prevEnd := d.end
 	if err := d.revise(bid, v.now); err != nil {
 		return err
 	}
-	v.fileByEnd(d, prevEnd)
+	v.fileByEnd(k, d, prevEnd)
 	return nil
 }
 
@@ -186,15 +209,17 @@ func (v *Validator) AdmitSubstitutive(bid OnlineSubstBid) error {
 	if err := checkStart(online, v.now); err != nil {
 		return err
 	}
+	k := curveKey{user: bid.User, subst: true}
+	_, gone := v.departed[k]
+	if err := checkPresent(bid.User, gone); err != nil {
+		return err
+	}
 	u := v.subst[bid.User]
 	if u == nil {
 		u = &substDeclared{opts: append([]OptID(nil), bid.Opts...), declared: newDeclared(online)}
 		v.subst[bid.User] = u
-		v.fileByEnd(&u.declared, 0)
+		v.fileByEnd(k, &u.declared, 0)
 		return nil
-	}
-	if err := checkPresent(bid.User, u.end <= v.now); err != nil {
-		return err
 	}
 	if err := checkSameSet(bid.User, u.opts, bid.Opts); err != nil {
 		return err
@@ -203,6 +228,6 @@ func (v *Validator) AdmitSubstitutive(bid OnlineSubstBid) error {
 	if err := u.revise(online, v.now); err != nil {
 		return err
 	}
-	v.fileByEnd(&u.declared, prevEnd)
+	v.fileByEnd(k, &u.declared, prevEnd)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"sharedopt/internal/core"
 	"sharedopt/internal/core/admissiontest"
+	"sharedopt/internal/econ"
 )
 
 // verdict renders an admission outcome for comparison.
@@ -99,5 +100,42 @@ func TestValidatorMatchesMechanisms(t *testing.T) {
 		if outlived == 0 {
 			t.Errorf("substitutive=%v: no bid arrived between a user's first end and her extended end", substitutive)
 		}
+	}
+}
+
+// TestEarlierStartRevisionDivergence pins the one admission outcome the
+// two online mechanisms treat differently. A revision may move a future
+// start earlier: first bid [3,3], revised to [1,3] before slot 1. AddOn
+// services the user from the new start; SubstOn keeps gating
+// participation on the first bid's start and grants slot 3 only.
+func TestEarlierStartRevisionDivergence(t *testing.T) {
+	d := econ.FromDollars
+	first := core.OnlineBid{User: 1, Start: 3, End: 3, Values: []econ.Money{d(5)}}
+	revised := core.OnlineBid{User: 1, Start: 1, End: 3, Values: []econ.Money{d(5), d(5), d(5)}}
+	opts := []core.Optimization{{ID: 1, Cost: d(1)}}
+	add := core.NewAdditiveGame(opts)
+	sub := core.NewSubstOn(opts)
+	substBid := func(b core.OnlineBid) core.OnlineSubstBid {
+		return core.OnlineSubstBid{User: b.User, Opts: []core.OptID{1}, Start: b.Start, End: b.End, Values: b.Values}
+	}
+	for _, err := range []error{
+		add.Submit(1, first), add.Submit(1, revised),
+		sub.Submit(substBid(first)), sub.Submit(substBid(revised)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var addSlots, subSlots []core.Slot
+	for range 3 {
+		if r := add.AdvanceSlot(); len(r.Active) > 0 {
+			addSlots = append(addSlots, r.Slot)
+		}
+		if r := sub.AdvanceSlot(); len(r.Active) > 0 {
+			subSlots = append(subSlots, r.Slot)
+		}
+	}
+	if fmt.Sprint(addSlots) != "[1 2 3]" || fmt.Sprint(subSlots) != "[3]" {
+		t.Fatalf("AddOn serviced slots %v, SubstOn %v; want [1 2 3] and [3]", addSlots, subSlots)
 	}
 }

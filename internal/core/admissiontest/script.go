@@ -1,7 +1,8 @@
 // Package admissiontest draws seeded op scripts that exercise every
 // online admission rule — malformed bids, unknown optimizations,
 // retroactive starts, raising and extending revisions (some outliving
-// the end slot they replace), lowered values, shrunk intervals, withdrawn
+// the end slot they replace, some moving a future start earlier), lowered
+// values, shrunk intervals, withdrawn
 // value, bids at and after a user's end slot, and changed substitute
 // sets — for differential tests between the mechanisms, core.Validator,
 // and the durable tier's shard admission.
@@ -132,7 +133,7 @@ func revise(r *stats.RNG, now core.Slot, base Op) Op {
 		}
 		return b.Values[s-b.Start]
 	}
-	switch r.Intn(7) {
+	switch r.Intn(8) {
 	case 1: // lower one value
 		values := raised(r, start, end, valueAt)
 		for k := range values {
@@ -152,6 +153,10 @@ func revise(r *stats.RNG, now core.Slot, base Op) Op {
 		base.Set = drawSet(r)
 	case 6: // extend the end well past the old one, so the user outlives it
 		end = max(b.End, start) + 2 + core.Slot(r.Intn(2))
+	case 7: // move a future start earlier, still after now
+		if b.Start > now+1 {
+			start = now + 1 + core.Slot(r.Intn(int(b.Start-now-1)))
+		}
 	}
 	if end < start {
 		end = start

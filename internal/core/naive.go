@@ -21,10 +21,20 @@ import (
 type NaiveOnline struct {
 	opt   Optimization
 	now   Slot
-	users map[UserID]*onlineUser
+	users map[UserID]*naiveUser
 
 	implemented   bool
 	implementedAt Slot
+}
+
+// naiveUser is NaiveOnline's record of one user. Unlike AddOn, the naive
+// mechanism keeps every user, departed or not, because it prices from
+// their curves' totals.
+type naiveUser struct {
+	valueCurve
+	serviced bool
+	paid     bool
+	payment  econ.Money
 }
 
 // NewNaiveOnline returns a naive online game for one optimization.
@@ -33,7 +43,7 @@ func NewNaiveOnline(opt Optimization) *NaiveOnline {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
-	return &NaiveOnline{opt: opt, users: make(map[UserID]*onlineUser)}
+	return &NaiveOnline{opt: opt, users: make(map[UserID]*naiveUser)}
 }
 
 // Now returns the last processed slot (0 if none yet).
@@ -54,7 +64,7 @@ func (n *NaiveOnline) Submit(bid OnlineBid) error {
 	if _, dup := n.users[bid.User]; dup {
 		return fmt.Errorf("core: user %d: naive mechanism does not support revisions", bid.User)
 	}
-	n.users[bid.User] = &onlineUser{valueCurve: newValueCurve(bid)}
+	n.users[bid.User] = &naiveUser{valueCurve: newValueCurve(bid)}
 	return nil
 }
 

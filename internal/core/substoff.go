@@ -141,8 +141,8 @@ type phasesResult struct {
 	// order lists implemented optimizations, as positions into opts, in
 	// implementation order.
 	order []int32
-	// serviced[pos] lists opts[pos]'s serviced users — including forced
-	// (previously granted) ones, sorted — when pos appears in order.
+	// serviced[pos] lists the users opts[pos] serviced in this run,
+	// sorted, when pos appears in order. Forced users are not listed.
 	serviced [][]UserID
 	// share[pos] is opts[pos]'s final per-user cost-share this run, or 0
 	// when pos was not implemented.
@@ -154,17 +154,19 @@ type phasesResult struct {
 }
 
 // substPhases is the phase loop shared by SubstOff and SubstOn. bidders
-// are the active users with their residual bids; forced maps optimization
-// → users that must remain serviced by it (the "b'ij ← ∞" rows of
-// Mechanism 4); forced users must not appear in bidders. scratch may be
-// nil for one-shot callers. Inputs are assumed validated.
+// are the active users with their residual bids; forced[pos] counts the
+// users that must remain serviced by opts[pos] (the "b'ij ← ∞" rows of
+// Mechanism 4), and is nil when there are none; forced users must not
+// appear in bidders. Only the size of each forced set matters: it
+// lowers the share every newcomer is asked for. scratch may be nil for
+// one-shot callers. Inputs are assumed validated.
 //
 // The active set is sorted once in descending bid order; each phase then
 // evaluates every remaining optimization with a zero-allocation
 // sorted-prefix scan (see servicedPrefix) over the subset of active users
 // that want it, and serviced users are removed with an order-preserving
 // merge so no re-sort is ever needed.
-func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]UserID, scratch *substScratch) phasesResult {
+func substPhases(opts []Optimization, bidders []substBidder, forced []int, scratch *substScratch) phasesResult {
 	if scratch == nil {
 		scratch = &substScratch{}
 	}
@@ -199,7 +201,10 @@ func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]
 		bestIdx, bestK := -1, 0
 		var bestShare econ.Money
 		for idx, av := range available {
-			f := len(forced[av.opt.ID])
+			f := 0
+			if forced != nil {
+				f = forced[av.pos]
+			}
 			optBids := collectOptBids(scratch, active, av.opt.ID)
 			k := servicedPrefix(av.opt.Cost, optBids, f)
 			if k+f == 0 {
@@ -216,7 +221,7 @@ func substPhases(opts []Optimization, bidders []substBidder, forced map[OptID][]
 		chosen := available[bestIdx]
 		available = append(available[:bestIdx], available[bestIdx+1:]...)
 		optBids := collectOptBids(scratch, active, chosen.opt.ID)
-		servicedUsers := append(scratch.serviced[chosen.pos][:0], forced[chosen.opt.ID]...)
+		servicedUsers := scratch.serviced[chosen.pos][:0]
 		for _, ub := range optBids[:bestK] {
 			servicedUsers = append(servicedUsers, ub.user)
 			res.newGrants = append(res.newGrants, Grant{User: ub.user, Opt: chosen.opt.ID})

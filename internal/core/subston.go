@@ -32,22 +32,39 @@ func (b OnlineSubstBid) online() OnlineBid {
 	return OnlineBid{User: b.User, Start: b.Start, End: b.End, Values: b.Values}
 }
 
-// substUser is SubstOn's record of one user. start is the first bid's
-// start slot and gates participation; the curve's own interval may begin
-// earlier after a revision, matching the original mechanism's behavior.
+// substUser is SubstOn's record of one present user. start is the first
+// bid's start slot and gates participation; the curve's own interval may
+// begin earlier after a revision, matching the original mechanism's
+// behavior.
 type substUser struct {
+	id         UserID
 	opts       []OptID
 	start      Slot
 	curve      valueCurve
 	granted    bool
 	grantedOpt OptID
-	paid       bool
-	payment    econ.Money
+}
+
+// byGrant orders granted users as SlotReport.Active lists them: by
+// (granted optimization, user).
+func byGrant(a, b *substUser) int {
+	if c := cmp.Compare(a.grantedOpt, b.grantedOpt); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// substPaid is what SubstOn keeps of a departed user: their payment and,
+// when it is positive, the optimization they were granted. A granted user
+// always pays a positive share, because every cost is positive.
+type substPaid struct {
+	payment econ.Money
+	opt     OptID
 }
 
 // SubstOn is the SubstOn Mechanism (paper, Mechanism 4): the online
 // cost-sharing mechanism for substitutive optimizations. Each slot it runs
-// the SubstOff phase loop over the residual values of users seen so far,
+// the SubstOff phase loop over the residual values of the users present,
 // forcing every previously granted (user, optimization) pair to stay
 // serviced by that same optimization — a user may never switch
 // optimizations, which is crucial for truthfulness (paper, Example 8).
@@ -55,8 +72,13 @@ type substUser struct {
 // their bid interval ends; as with AddOn, shares only fall over time, and
 // departed users keep counting toward the share denominator.
 //
-// The per-slot phase loop runs on scratch buffers reused across
-// AdvanceSlot calls and on O(1) suffix-sum residual lookups.
+// The game is indexed by slot events like AddOn: a pending list of present
+// users not yet granted is all the phase loop reads, an active list of
+// present granted users is kept in (optimization, user) order, users are
+// filed under their end slots, and a charged user leaves behind only their
+// payment and granted optimization. The forced sets enter the phase loop
+// as per-optimization counts. The phase loop runs on scratch buffers
+// reused across AdvanceSlot calls and on O(1) suffix-sum residual lookups.
 type SubstOn struct {
 	opts []Optimization
 	// optPos maps each optimization to its position in opts — the index
@@ -64,11 +86,18 @@ type SubstOn struct {
 	// source for by-ID lookups (the optimization itself is opts[pos]).
 	optPos      map[OptID]int
 	now         Slot
-	users       map[UserID]*substUser
 	implemented map[OptID]Slot
-	granted     map[OptID][]UserID // forced sets, maintained incrementally
+	granted     []int // granted[pos]: users ever granted opts[pos], the forced set sizes
+
+	users    map[UserID]*substUser // present users
+	pending  []*substUser          // present users not yet granted, in no order
+	active   []*substUser          // present granted users, by (opt, user)
+	ends     map[Slot][]UserID     // users by end slot; stale once an end moved
+	departed map[UserID]substPaid  // charged users
+	revenue  econ.Money            // sum of departed payments
 
 	bidders []substBidder // per-slot buffer, reused across AdvanceSlot
+	fresh   []*substUser  // per-slot newly granted users, reused likewise
 	scratch substScratch
 }
 
@@ -85,9 +114,11 @@ func NewSubstOn(opts []Optimization) *SubstOn {
 	return &SubstOn{
 		opts:        append([]Optimization(nil), opts...),
 		optPos:      optPos,
-		users:       make(map[UserID]*substUser),
 		implemented: make(map[OptID]Slot),
-		granted:     make(map[OptID][]UserID),
+		granted:     make([]int, len(opts)),
+		users:       make(map[UserID]*substUser),
+		ends:        make(map[Slot][]UserID),
+		departed:    make(map[UserID]substPaid),
 	}
 }
 
@@ -122,22 +153,34 @@ func (s *SubstOn) Submit(bid OnlineSubstBid) error {
 	if err := checkStart(online, s.now); err != nil {
 		return err
 	}
+	_, gone := s.departed[bid.User]
+	if err := checkPresent(bid.User, gone); err != nil {
+		return err
+	}
 	u := s.users[bid.User]
 	if u == nil {
-		s.users[bid.User] = &substUser{
+		u = &substUser{
+			id:    bid.User,
 			opts:  append([]OptID(nil), bid.Opts...),
 			start: bid.Start,
 			curve: newValueCurve(online),
 		}
+		s.users[bid.User] = u
+		s.pending = append(s.pending, u)
+		s.ends[bid.End] = append(s.ends[bid.End], bid.User)
 		return nil
-	}
-	if err := checkPresent(bid.User, u.paid); err != nil {
-		return err
 	}
 	if err := checkSameSet(bid.User, u.opts, bid.Opts); err != nil {
 		return err
 	}
-	return u.curve.revise(online, s.now)
+	prevEnd := u.curve.end
+	if err := u.curve.revise(online, s.now); err != nil {
+		return err
+	}
+	if u.curve.end != prevEnd {
+		s.ends[u.curve.end] = append(s.ends[u.curve.end], bid.User)
+	}
+	return nil
 }
 
 // AdvanceSlot processes the next time slot by running the SubstOff phase
@@ -148,26 +191,40 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 	t := s.now
 	report := SlotReport{Slot: t, Departures: make(map[UserID]econ.Money)}
 
+	// Collect the pending users' residual bids, dropping the users granted
+	// or charged since the last pass (a present user's end is never
+	// before the slot being processed).
 	bidders := s.bidders[:0]
-	for id, u := range s.users {
-		if u.granted || t < u.start {
+	pending := s.pending[:0]
+	for _, u := range s.pending {
+		if u.granted || u.curve.end < t {
 			continue
 		}
-		r := u.curve.residual(t)
-		if r <= 0 {
+		pending = append(pending, u)
+		if t < u.start {
 			continue
 		}
-		bidders = append(bidders, substBidder{user: id, bid: r, opts: u.opts})
+		if r := u.curve.residual(t); r > 0 {
+			bidders = append(bidders, substBidder{user: u.id, bid: r, opts: u.opts})
+		}
 	}
+	clear(s.pending[len(pending):])
+	s.pending = pending
 	phases := substPhases(s.opts, bidders, s.granted, &s.scratch)
 	s.bidders = bidders[:0]
 
+	// phases.newGrants is sorted by (opt, user), the active list's order.
+	fresh := s.fresh[:0]
 	for _, g := range phases.newGrants {
 		u := s.users[g.User]
 		u.granted = true
 		u.grantedOpt = g.Opt
-		s.granted[g.Opt] = append(s.granted[g.Opt], g.User)
+		s.granted[s.optPos[g.Opt]]++
+		fresh = append(fresh, u)
 	}
+	s.active = mergeSorted(s.active, fresh, byGrant)
+	clear(fresh)
+	s.fresh = fresh[:0]
 	report.NewGrants = phases.newGrants
 	for _, pos := range phases.order {
 		j := s.opts[pos].ID
@@ -178,75 +235,85 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 	}
 	sortOpts(report.Implemented)
 
-	for id, u := range s.users {
-		if u.granted && t >= u.start && t <= u.curve.end {
-			report.Active = append(report.Active, Grant{User: id, Opt: u.grantedOpt})
+	if len(s.active) > 0 {
+		report.Active = make([]Grant, len(s.active))
+		for i, u := range s.active {
+			report.Active[i] = Grant{User: u.id, Opt: u.grantedOpt}
 		}
 	}
-	sortGrants(report.Active)
 
-	// Charge users whose interval ends now, releasing their curves.
-	for id, u := range s.users {
-		if u.paid || u.curve.end != t {
-			continue
+	// Charge users whose interval ends now and drop them.
+	grantedLeft := false
+	for _, id := range s.ends[t] {
+		u := s.users[id]
+		if u.curve.end != t {
+			continue // filed again under a later end
 		}
-		u.paid = true
-		u.curve.release()
+		var payment econ.Money
 		if u.granted {
-			u.payment = phases.share[s.optPos[u.grantedOpt]]
+			payment = phases.share[s.optPos[u.grantedOpt]]
+			grantedLeft = true
 		}
-		report.Departures[id] = u.payment
+		report.Departures[id] = payment
+		s.depart(u, payment)
+	}
+	delete(s.ends, t)
+	if grantedLeft {
+		s.active = slices.DeleteFunc(s.active, func(u *substUser) bool { return u.curve.end == t })
 	}
 	return report
 }
 
+// depart records a charged user's payment and granted optimization and
+// forgets everything else about them. The pending list may still point at
+// them until its next pass, so their curve is released here.
+func (s *SubstOn) depart(u *substUser, payment econ.Money) {
+	s.departed[u.id] = substPaid{payment: payment, opt: u.grantedOpt}
+	s.revenue += payment
+	delete(s.users, u.id)
+	u.curve.release()
+}
+
 // Close settles every user who has not yet paid at the current cost-share
 // of her granted optimization. It returns the payments charged by this
-// call.
+// call, and leaves the game holding only payments.
 func (s *SubstOn) Close() map[UserID]econ.Money {
-	settled := make(map[UserID]econ.Money)
+	settled := make(map[UserID]econ.Money, len(s.users))
 	for id, u := range s.users {
-		if u.paid {
-			continue
-		}
-		u.paid = true
+		var payment econ.Money
 		if u.granted {
-			u.payment = s.opts[s.optPos[u.grantedOpt]].Cost.DivCeil(len(s.granted[u.grantedOpt]))
+			pos := s.optPos[u.grantedOpt]
+			payment = s.opts[pos].Cost.DivCeil(s.granted[pos])
 		}
-		settled[id] = u.payment
+		settled[id] = payment
+		s.depart(u, payment)
 	}
+	// Fresh containers: Go maps never shrink, so clearing them would
+	// keep the period's buckets.
+	s.users = make(map[UserID]*substUser)
+	s.ends = make(map[Slot][]UserID)
+	s.pending, s.active = nil, nil
 	return settled
 }
 
 // Payment returns the user's final payment and whether she has been
 // charged yet.
 func (s *SubstOn) Payment(u UserID) (econ.Money, bool) {
-	usr := s.users[u]
-	if usr == nil || !usr.paid {
-		return 0, false
-	}
-	return usr.payment, true
+	p, ok := s.departed[u]
+	return p.payment, ok
 }
 
 // GrantedOpt returns the optimization granted to the user, if any.
 func (s *SubstOn) GrantedOpt(u UserID) (OptID, bool) {
-	usr := s.users[u]
-	if usr == nil || !usr.granted {
-		return 0, false
+	if usr := s.users[u]; usr != nil {
+		return usr.grantedOpt, usr.granted
 	}
-	return usr.grantedOpt, true
+	p := s.departed[u]
+	return p.opt, p.payment > 0
 }
 
 // TotalRevenue returns the sum of all payments charged so far.
-func (s *SubstOn) TotalRevenue() econ.Money {
-	var total econ.Money
-	for _, u := range s.users {
-		if u.paid {
-			total += u.payment
-		}
-	}
-	return total
-}
+func (s *SubstOn) TotalRevenue() econ.Money { return s.revenue }
 
 // CostIncurred sums the costs of implemented optimizations.
 func (s *SubstOn) CostIncurred() econ.Money {

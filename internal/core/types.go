@@ -29,6 +29,12 @@
 //   - Suffix-sum residuals: online users store their declared value
 //     function as a dense valueCurve with a cached suffix-sum array, so
 //     the residual Σ_{τ≥t} b(τ) needed every slot is an O(1) lookup.
+//   - Event indexing: AddOn and SubstOn hold only the users still
+//     present, in a pending list, an ordered active list and an end-slot
+//     index, so a slot's work is proportional to the users present, not
+//     to everyone seen so far; a departed user leaves only their payment.
+//     onlineref_test.go keeps the scanning versions as a differential
+//     oracle.
 //   - Scratch reuse: AddOn and SubstOn keep per-game scratch buffers and
 //     rebuild nothing per slot; a warm AdvanceSlot allocates only its
 //     SlotReport (see the allocation-regression tests in alloc_test.go).
@@ -225,3 +231,22 @@ func sortGrants(gs []Grant) {
 func sortUsers(us []UserID) { slices.Sort(us) }
 
 func sortOpts(os []OptID) { slices.Sort(os) }
+
+// mergeSorted merges add, sorted by compare, into list, sorted the same
+// way, in place from the back, and returns the grown list. An online
+// mechanism merges each slot's new grants into its ordered active list
+// with it instead of re-sorting the list.
+func mergeSorted[E any](list, add []E, compare func(a, b E) int) []E {
+	i, j := len(list)-1, len(add)-1
+	list = slices.Grow(list, len(add))[:len(list)+len(add)]
+	for k := len(list) - 1; j >= 0; k-- {
+		if i >= 0 && compare(list[i], add[j]) > 0 {
+			list[k] = list[i]
+			i--
+		} else {
+			list[k] = add[j]
+			j--
+		}
+	}
+	return list
+}
