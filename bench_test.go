@@ -125,6 +125,10 @@ func BenchmarkShardedIngest4(b *testing.B) { benchkit.ShardedIngestThroughput(4)
 // bounding the metrics layer's hot-path cost.
 func BenchmarkShardedIngest4Obs(b *testing.B) { benchkit.ShardedIngestInstrumented(4)(b) }
 
+// BenchmarkTierRetained settles 50 spot-shaped 4-shard periods and
+// reports the heap the settled tiers keep per bid ("retained-B/bid").
+func BenchmarkTierRetained(b *testing.B) { benchkit.TierRetained()(b) }
+
 // BenchmarkEngineHashJoin measures a 10k × 10k hash join plus grouped
 // count through the columnar query engine.
 func BenchmarkEngineHashJoin(b *testing.B) { benchkit.EngineHashJoin()(b) }

@@ -84,8 +84,8 @@ func TestKeyBenchmarksRegistered(t *testing.T) {
 		"AddOnSeason": true, "SubstOnSeason": true,
 		"ServiceGame":    true,
 		"ShardedIngest1": true, "ShardedIngest4": true, "ShardedIngest4Obs": true,
-		"ShardedIngest4Net": true,
-		"EngineHashJoin":    true, "EngineHashJoinParallel4": true,
+		"ShardedIngest4Net": true, "TierRetained": true,
+		"EngineHashJoin": true, "EngineHashJoinParallel4": true,
 		"EngineBuildJoin": true, "EngineBuildJoinParallel4": true,
 		"EngineOrderBy": true, "EngineOrderByParallel4": true,
 		"HaloFinder": true, "HaloFinderWarm": true, "HaloFinderParallel4": true,

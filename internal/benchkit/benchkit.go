@@ -481,6 +481,7 @@ func Key() []struct {
 		{"ShardedIngest4", ShardedIngestThroughput(4)},
 		{"ShardedIngest4Obs", ShardedIngestInstrumented(4)},
 		{"ShardedIngest4Net", ShardedIngestNet(4)},
+		{"TierRetained", TierRetained()},
 		{"EngineHashJoin", EngineHashJoin()},
 		{"EngineHashJoinParallel4", EngineHashJoinParallel(4)},
 		{"EngineBuildJoin", EngineBuildJoin()},

@@ -163,3 +163,17 @@ func TestPairsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// Settled tiers keep the dedup digest and the mechanism's payment of
+// each bid, and nothing else that grows with the bids: no second
+// invoice ledger, no validator curves or departure marks once a period
+// is over, and a bit per sequence in the router's batched set. The
+// budget leaves about 20% over the 131 B/bid measured on linux/amd64
+// with Go 1.24; keeping any one of those structures per bid adds about
+// 33 B/bid, which exceeds it.
+func TestTierRetainedBudget(t *testing.T) {
+	const budget = 160
+	if got := tierRetainedPerBid(t); got > budget {
+		t.Errorf("settled spot-shaped tiers retain %.1f B/bid, budget %d", got, budget)
+	}
+}

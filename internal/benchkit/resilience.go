@@ -259,3 +259,80 @@ func ShardedIngestNet(shards int) func(b *testing.B) {
 		reportIngestMetrics(b, advNs)
 	}
 }
+
+// The spot-shaped tier TierRetained settles: 50 periods of 12 slots over
+// 8 optimizations, each period a fresh 4-shard tier, with 184
+// single-slot bids from new users in every slot — 110,400 bids.
+const (
+	retainedPeriods = 50
+	retainedShards  = 4
+	retainedHorizon = core.Slot(12)
+	retainedOpts    = 8
+	retainedPerSlot = 184
+)
+
+// TierRetained returns the benchmark body that measures what settled
+// tiers keep per bid: it settles every period of the spot-shaped run
+// above, keeps every tier, as a caller reading their invoices does, and
+// reports the live heap they hold after a collection, divided by the
+// bids ("retained-B/bid"). Unlike a process's peak RSS, the count does
+// not depend on the host or the collector's pacing.
+func TierRetained() func(b *testing.B) {
+	return func(b *testing.B) {
+		var perBid float64
+		for i := 0; i < b.N; i++ {
+			perBid = tierRetainedPerBid(b)
+		}
+		b.ReportMetric(perBid, "retained-B/bid")
+	}
+}
+
+// tierRetainedPerBid settles the spot-shaped run over journals that
+// discard their bytes and returns the heap the settled tiers retain, in
+// bytes per bid.
+func tierRetainedPerBid(tb testing.TB) float64 {
+	catalog := make([]sharedopt.Optimization, retainedOpts)
+	for i := range catalog {
+		catalog[i] = sharedopt.Optimization{ID: core.OptID(i + 1), Cost: econ.FromDollars(2)}
+	}
+	r := stats.NewRNG(24)
+	before := liveHeap()
+	tiers := make([]*resilience.ShardedService, retainedPeriods)
+	var user core.UserID
+	for p := range tiers {
+		writers := make([]io.Writer, retainedShards)
+		for s := range writers {
+			writers[s] = io.Discard
+		}
+		ss, err := resilience.NewShardedService(sharedopt.Additive, catalog, retainedHorizon, writers, resilience.ShardedConfig{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for slot := core.Slot(1); slot <= retainedHorizon; slot++ {
+			for k := 0; k < retainedPerSlot; k++ {
+				user++
+				bid := core.OnlineBid{User: user, Start: slot, End: slot,
+					Values: []econ.Money{econ.FromCents(int64(1 + r.Intn(60)))}}
+				if err := ss.SubmitAdditiveBid(core.OptID(1+r.Intn(retainedOpts)), bid); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if _, err := ss.AdvanceSlot(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		tiers[p] = ss
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(tiers)
+	return float64(retained) / float64(user)
+}
+
+// liveHeap collects garbage and returns the bytes of the objects that
+// survived.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}

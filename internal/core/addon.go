@@ -421,6 +421,32 @@ func (g *AdditiveGame) Optimizations() []Optimization {
 	return out
 }
 
+// Payment returns the user's payments summed across optimizations, and
+// whether any optimization has charged her yet.
+func (g *AdditiveGame) Payment(u UserID) (econ.Money, bool) {
+	var total econ.Money
+	charged := false
+	for _, id := range g.order {
+		if p, ok := g.games[id].Payment(u); ok {
+			total += p
+			charged = true
+		}
+	}
+	return total, charged
+}
+
+// Payments returns a new map of every charged user's payments, summed
+// across optimizations.
+func (g *AdditiveGame) Payments() map[UserID]econ.Money {
+	out := make(map[UserID]econ.Money)
+	for _, id := range g.order {
+		for u, p := range g.games[id].departed {
+			out[u] += p
+		}
+	}
+	return out
+}
+
 // TotalRevenue sums revenue across optimizations.
 func (g *AdditiveGame) TotalRevenue() econ.Money {
 	var total econ.Money

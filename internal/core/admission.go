@@ -83,21 +83,25 @@ func sameOptSet(a, b []OptID) bool {
 // state, error text included. A user departs once their curve's end slot
 // has been processed: that is the slot at which AddOn and SubstOn charge
 // them and drop them. Judging a departed user's bid needs only the fact
-// that they departed, so Advance deletes the curves ending at the processed
-// slot and keeps one departed mark per curve. Close has no counterpart
-// here; a caller that closes the period refuses later bids itself.
+// that they departed, so Advance releases the curves ending at the
+// processed slot and leaves a nil entry in their place: a user present in
+// the curve maps with a nil curve has departed. Close, once the period is
+// over, releases the curves and departure marks altogether; the caller
+// then refuses every later bid itself, and must not hand it to the
+// Validator.
 //
 // A Validator is not safe for concurrent use.
 type Validator struct {
-	now      Slot
+	now Slot
+	// additive and subst hold each user's declared curve while they are
+	// present, and nil once they have departed.
 	additive map[OptID]map[UserID]*declared
 	subst    map[UserID]*substDeclared
 	// ends files every declared curve under the end slot it had when
 	// declared or last extended. A revision that extends a curve files
 	// it again; the entry left in the earlier bucket no longer matches
 	// the curve's end and is skipped.
-	ends     map[Slot][]curveKey
-	departed map[curveKey]struct{}
+	ends map[Slot][]curveKey
 }
 
 // curveKey names one declared curve: an additive user's curve for one
@@ -121,7 +125,6 @@ func NewValidator(opts []Optimization) *Validator {
 		additive: make(map[OptID]map[UserID]*declared, len(opts)),
 		subst:    make(map[UserID]*substDeclared),
 		ends:     make(map[Slot][]curveKey),
-		departed: make(map[curveKey]struct{}),
 	}
 	for _, o := range opts {
 		v.additive[o.ID] = make(map[UserID]*declared)
@@ -131,6 +134,16 @@ func NewValidator(opts []Optimization) *Validator {
 
 // Now returns the last processed slot.
 func (v *Validator) Now() Slot { return v.now }
+
+// Held returns how many entries the curve maps hold: the present users'
+// curves and the departed users' marks, all of which Close releases.
+func (v *Validator) Held() int {
+	n := len(v.subst)
+	for _, users := range v.additive {
+		n += len(users)
+	}
+	return n
+}
 
 // Advance records that the next slot has been processed, and marks the
 // users whose curves end at it departed.
@@ -143,16 +156,26 @@ func (v *Validator) Advance() {
 			if v.subst[k.user].end != v.now {
 				continue
 			}
-			delete(v.subst, k.user)
+			v.subst[k.user] = nil
 		} else {
 			if v.additive[k.opt][k.user].end != v.now {
 				continue
 			}
-			delete(v.additive[k.opt], k.user)
+			v.additive[k.opt][k.user] = nil
 		}
-		v.departed[k] = struct{}{}
 	}
 	delete(v.ends, v.now)
+}
+
+// Close releases every curve, departure mark and end-slot bucket once
+// the period is over. The clock is kept. The Validator must judge no bid
+// after Close.
+func (v *Validator) Close() {
+	for opt := range v.additive {
+		v.additive[opt] = nil
+	}
+	v.subst = nil
+	v.ends = nil
 }
 
 // fileByEnd files a curve that was just declared or revised under its
@@ -175,13 +198,12 @@ func (v *Validator) AdmitAdditive(opt OptID, bid OnlineBid) error {
 	if err := checkStart(bid, v.now); err != nil {
 		return err
 	}
-	k := curveKey{user: bid.User, opt: opt}
-	_, gone := v.departed[k]
-	if err := checkPresent(bid.User, gone); err != nil {
+	users := v.additive[opt]
+	d, seen := users[bid.User]
+	if err := checkPresent(bid.User, seen && d == nil); err != nil {
 		return err
 	}
-	users := v.additive[opt]
-	d := users[bid.User]
+	k := curveKey{user: bid.User, opt: opt}
 	if d == nil {
 		first := newDeclared(bid)
 		users[bid.User] = &first
@@ -209,12 +231,11 @@ func (v *Validator) AdmitSubstitutive(bid OnlineSubstBid) error {
 	if err := checkStart(online, v.now); err != nil {
 		return err
 	}
-	k := curveKey{user: bid.User, subst: true}
-	_, gone := v.departed[k]
-	if err := checkPresent(bid.User, gone); err != nil {
+	u, seen := v.subst[bid.User]
+	if err := checkPresent(bid.User, seen && u == nil); err != nil {
 		return err
 	}
-	u := v.subst[bid.User]
+	k := curveKey{user: bid.User, subst: true}
 	if u == nil {
 		u = &substDeclared{opts: append([]OptID(nil), bid.Opts...), declared: newDeclared(online)}
 		v.subst[bid.User] = u

@@ -303,6 +303,15 @@ func (s *SubstOn) Payment(u UserID) (econ.Money, bool) {
 	return p.payment, ok
 }
 
+// Payments returns a new map of every charged user's payment.
+func (s *SubstOn) Payments() map[UserID]econ.Money {
+	out := make(map[UserID]econ.Money, len(s.departed))
+	for u, p := range s.departed {
+		out[u] = p.payment
+	}
+	return out
+}
+
 // GrantedOpt returns the optimization granted to the user, if any.
 func (s *SubstOn) GrantedOpt(u UserID) (OptID, bool) {
 	if usr := s.users[u]; usr != nil {

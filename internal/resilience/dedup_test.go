@@ -62,6 +62,69 @@ func TestDuplicateOfDepartedUserDeduped(t *testing.T) {
 	check(back, "recovered")
 }
 
+// TestShardHostReleasesValidatorAtPeriodEnd: once the period is over —
+// at the horizon's adv marker, at a close marker, or when replay reaches
+// either — a shard host's validator holds no curves and no departure
+// marks, yet every verdict stands: a new bid is refused with
+// ErrPeriodOver, and a duplicate of a pre-close bid is acknowledged with
+// its original sequence and journals nothing.
+func TestShardHostReleasesValidatorAtPeriodEnd(t *testing.T) {
+	ctx := context.Background()
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}
+	bid := core.OnlineBid{User: 4, Start: 1, End: 2, Values: []econ.Money{econ.FromDollars(3), econ.FromDollars(3)}}
+	late := core.OnlineBid{User: 5, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(3)}}
+	for _, tc := range []struct {
+		name string
+		end  func(h *ShardHost) error // ends the period
+	}{
+		{"horizon", func(h *ShardHost) error { return h.Advance(ctx, 2) }},
+		{"close", func(h *ShardHost) error { return h.ClosePeriod(ctx) }},
+	} {
+		var m MemLog
+		h, err := NewShardHost(sharedopt.Additive, catalog, 2, 0, 1, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := submitBid(h, bid)
+		if err != nil || !first.Fresh {
+			t.Fatalf("%s: first delivery: %+v, %v", tc.name, first, err)
+		}
+		if err := h.Advance(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ValidatorHeld(h) == 0 {
+			t.Fatalf("%s: validator holds nothing before the period ends", tc.name)
+		}
+		if err := tc.end(h); err != nil {
+			t.Fatal(err)
+		}
+		check := func(h *ShardHost, when string) {
+			t.Helper()
+			if n := ValidatorHeld(h); n != 0 {
+				t.Fatalf("%s, %s: validator holds %d entries after the period ended", tc.name, when, n)
+			}
+			before := m.Len()
+			if _, err := submitBid(h, late); !errors.Is(err, sharedopt.ErrPeriodOver) {
+				t.Fatalf("%s, %s: new bid after the period returned %v, want ErrPeriodOver", tc.name, when, err)
+			}
+			dup, err := submitBid(h, bid)
+			if err != nil || dup.Fresh || dup.Seq != first.Seq {
+				t.Fatalf("%s, %s: duplicate of a pre-close bid acknowledged as %+v, %v; want the original %+v", tc.name, when, dup, err, first)
+			}
+			if m.Len() != before {
+				t.Fatalf("%s, %s: journal grew from %d to %d bytes", tc.name, when, before, m.Len())
+			}
+		}
+		check(h, "live")
+		recs, _, _ := ReadJournal(m.Bytes())
+		back, err := RecoverShardHost(recs, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(back, "recovered")
+	}
+}
+
 // lossyLink fronts a shard and loses the replies of the next lose
 // submissions after the shard has decided them, as a dropped connection
 // does: the caller sees ErrShardUnavailable though the bid is durable.

@@ -17,3 +17,11 @@ func SwapLink(s *ShardedService, i int, link ShardTransport) ShardTransport {
 	s.shards[i].link = link
 	return old
 }
+
+// ValidatorHeld returns how many curves and departure marks h's validator
+// holds.
+func ValidatorHeld(h *ShardHost) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.v.Held()
+}

@@ -148,6 +148,16 @@ type indoubtBid struct {
 	fp  [sha256.Size]byte // digest of rec's canonical payload
 }
 
+// seqSet is a set of journal sequences stored as a bitmap: the key is a
+// sequence's 64-aligned word, seq>>6, and the value holds one bit per
+// sequence in it. A shard assigns its sequences densely, so a member
+// costs about one bit; a sparse member costs one word.
+type seqSet map[uint64]uint64
+
+func (s seqSet) add(seq uint64) { s[seq>>6] |= 1 << (seq & 63) }
+
+func (s seqSet) has(seq uint64) bool { return s[seq>>6]&(1<<(seq&63)) != 0 }
+
 // shard is the router's view of one partition: the transport link plus
 // the batch of accepted bids not yet folded into settlement.
 type shard struct {
@@ -163,7 +173,7 @@ type shard struct {
 	// will fold. A duplicate acknowledgment (retry after a lost reply)
 	// carries its original record's sequence, so this set tells it from
 	// a fresh accept that must be batched once.
-	batched map[uint64]bool
+	batched seqSet
 	indoubt []indoubtBid
 	// marked is true while the in-progress settlement round's marker is
 	// durable on this shard (cleared when the round completes).
@@ -179,7 +189,7 @@ type shard struct {
 }
 
 func newShard(link ShardTransport, om shardMetrics) *shard {
-	sh := &shard{link: link, batched: make(map[uint64]bool), om: om}
+	sh := &shard{link: link, batched: make(seqSet), om: om}
 	sh.idle = sync.NewCond(&sh.mu)
 	return sh
 }
@@ -518,7 +528,7 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 			return err
 		}
 	}
-	if sh.batched[res.Seq] {
+	if sh.batched.has(res.Seq) {
 		return nil // duplicate: already journaled and already batched/settled
 	}
 	// Fresh accept — or a non-fresh acknowledgment whose original reply
@@ -528,7 +538,7 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 	p.seq = res.Seq
 	sh.om.accepted.Inc()
 	sh.batch = append(sh.batch, p)
-	sh.batched[res.Seq] = true
+	sh.batched.add(res.Seq)
 	sh.om.batchHigh.Observe(uint64(len(sh.batch)))
 	return nil
 }
@@ -590,13 +600,13 @@ func (s *ShardedService) resolveIndoubtLocked(i int, sh *shard) bool {
 			continue
 		}
 		sh.indoubt = sh.indoubt[1:]
-		if sh.batched[res.Seq] {
+		if sh.batched.has(res.Seq) {
 			continue // a later retry already batched it
 		}
 		in.p.seq = res.Seq
 		sh.om.accepted.Inc()
 		sh.batch = append(sh.batch, in.p)
-		sh.batched[res.Seq] = true
+		sh.batched.add(res.Seq)
 	}
 	return true
 }

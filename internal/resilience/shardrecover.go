@@ -171,7 +171,7 @@ func RecoverShardedService(journals [][]Record, writers []io.Writer, cfg Sharded
 				// Prime the router's dedup set with every journaled bid,
 				// so a client retrying a pre-crash submission is
 				// recognized as a duplicate instead of double-batched.
-				sh.batched[rec.Seq] = true
+				sh.batched.add(rec.Seq)
 			case KindAdvanceSlot:
 				rep.windows = append(rep.windows, rep.tail)
 				rep.tail = nil

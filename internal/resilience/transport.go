@@ -100,10 +100,12 @@ type ShardTransport interface {
 // the shard's journal, the digests of the bids journaled so far (dedup),
 // and a core.Validator carrying its users' declared curves until their
 // end slots — everything needed to judge a bid exactly as the settlement
-// game will, without running the mechanism. It implements
-// ShardTransport directly — that is the in-process loopback transport —
-// and transport.ShardServer serves the same host over TCP. Methods are
-// safe for concurrent use.
+// game will, without running the mechanism. Once the period is over every
+// bid is refused before the validator is consulted, so the host releases
+// the validator's state then, and a closed shard keeps only its digests.
+// It implements ShardTransport directly — that is the in-process loopback
+// transport — and transport.ShardServer serves the same host over TCP.
+// Methods are safe for concurrent use.
 type ShardHost struct {
 	mu      sync.Mutex // serializes admission, markers, and journal order
 	kind    sharedopt.GameKind
@@ -115,9 +117,11 @@ type ShardHost struct {
 	v       *core.Validator
 	// seen maps the digest of each journaled bid's canonical payload to
 	// its record's sequence, so a duplicate delivery — local retry or
-	// network — is acknowledged with the original record's identity. It
-	// costs a fixed 40 bytes of key and value per bid, and outlives the
-	// user's curve: a departed user's duplicate is still recognized.
+	// network — is acknowledged with the original record's identity. Its
+	// 40 bytes of key and value cost about 94 bytes per bid with the map's
+	// buckets and growth slack, and it outlives the user's curve and the
+	// period: a departed user's duplicate, or a pre-close bid's, is still
+	// recognized.
 	seen map[[sha256.Size]byte]uint64
 	// closing is set once the close marker is journaled.
 	closing bool
@@ -169,7 +173,8 @@ func errCorrupt(rec Record, err error) error {
 // process, while RecoverShardedService reconciles a whole tier. Replay
 // restores the validator's clock and declared curves and the dedup
 // digests, so submissions accepted before the crash remain
-// idempotent after it.
+// idempotent after it; a journal that ends the period leaves the
+// validator released, as the live host did.
 func RecoverShardHost(recs []Record, w io.Writer) (*ShardHost, error) {
 	if len(recs) == 0 {
 		return nil, ErrEmptyJournal
@@ -212,8 +217,10 @@ func (h *ShardHost) replay(rec Record) error {
 			return errCorrupt(rec, sharedopt.ErrPeriodOver)
 		}
 		h.v.Advance()
+		h.releaseIfClosed()
 	case KindClosePeriod:
 		h.closing = true
+		h.v.Close()
 	default:
 		return fmt.Errorf("resilience: corrupt journal: unexpected %s record %d", rec.Kind, rec.Seq)
 	}
@@ -223,6 +230,14 @@ func (h *ShardHost) replay(rec Record) error {
 // closed reports whether the period is over: every horizon slot settled,
 // or the close marker journaled.
 func (h *ShardHost) closed() bool { return h.closing || h.v.Now() >= h.horizon }
+
+// releaseIfClosed frees the validator's curves once the period is over:
+// admit refuses every bid from then on without consulting them.
+func (h *ShardHost) releaseIfClosed() {
+	if h.closed() {
+		h.v.Close()
+	}
+}
 
 // admit judges a bid record with the checks a plain sharedopt.Service
 // makes, in its order and with its error text — period over, game kind,
@@ -359,6 +374,7 @@ func (h *ShardHost) Advance(ctx context.Context, window int) error {
 			return sharedopt.ErrPeriodOver
 		}
 		h.v.Advance()
+		h.releaseIfClosed()
 		return h.brokenErr(h.j.Append(Record{Kind: KindAdvanceSlot}))
 	default:
 		return fmt.Errorf("resilience: shard %d at window %d asked to advance to %d", h.shard, now, window)
@@ -380,6 +396,7 @@ func (h *ShardHost) ClosePeriod(ctx context.Context) error {
 		return nil
 	}
 	h.closing = true
+	h.v.Close()
 	return h.brokenErr(h.j.Append(Record{Kind: KindClosePeriod}))
 }
 

@@ -40,7 +40,9 @@ var ErrPeriodOver = errors.New("sharedopt: pricing period is over")
 // bids between slots, advances billing slots, and settles payments. It
 // wraps the AddOn mechanism (one game per optimization) or the SubstOn
 // mechanism, so it inherits their truthfulness and cost-recovery
-// guarantees. A Service is safe for concurrent use.
+// guarantees. The mechanism's payments are its only ledger: invoices,
+// revenue and surplus are read from the game, which keeps nothing else of
+// a departed user. A Service is safe for concurrent use.
 type Service struct {
 	mu       sync.Mutex
 	kind     GameKind
@@ -48,7 +50,6 @@ type Service struct {
 	closed   bool
 	additive *core.AdditiveGame
 	subst    *core.SubstOn
-	invoices map[UserID]Money
 }
 
 // NewAdditiveService prices the optimizations under additive valuations
@@ -61,7 +62,6 @@ func NewAdditiveService(opts []Optimization, horizon Slot) (*Service, error) {
 		kind:     Additive,
 		horizon:  horizon,
 		additive: core.NewAdditiveGame(opts),
-		invoices: make(map[UserID]Money),
 	}, nil
 }
 
@@ -72,10 +72,9 @@ func NewSubstitutiveService(opts []Optimization, horizon Slot) (*Service, error)
 		return nil, err
 	}
 	return &Service{
-		kind:     Substitutive,
-		horizon:  horizon,
-		subst:    core.NewSubstOn(opts),
-		invoices: make(map[UserID]Money),
+		kind:    Substitutive,
+		horizon: horizon,
+		subst:   core.NewSubstOn(opts),
 	}, nil
 }
 
@@ -166,9 +165,6 @@ func (s *Service) AdvanceSlot() (SlotReport, error) {
 	} else {
 		report = s.subst.AdvanceSlot()
 	}
-	for u, p := range report.Departures {
-		s.invoices[u] += p
-	}
 	if report.Slot >= s.horizon {
 		s.settleLocked(report.Departures)
 		s.closed = true
@@ -191,8 +187,8 @@ func (s *Service) ClosePeriod() (map[UserID]Money, error) {
 	return settled, nil
 }
 
-// settleLocked runs Close on the underlying game, folding payments into
-// invoices and, when sink is non-nil, into sink.
+// settleLocked runs Close on the underlying game, folding the payments it
+// charges into sink.
 func (s *Service) settleLocked(sink map[UserID]Money) {
 	var payments map[UserID]Money
 	if s.kind == Additive {
@@ -201,10 +197,7 @@ func (s *Service) settleLocked(sink map[UserID]Money) {
 		payments = s.subst.Close()
 	}
 	for u, p := range payments {
-		s.invoices[u] += p
-		if sink != nil {
-			sink[u] += p
-		}
+		sink[u] += p
 	}
 }
 
@@ -213,19 +206,20 @@ func (s *Service) settleLocked(sink map[UserID]Money) {
 func (s *Service) Invoice(u UserID) (Money, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.invoices[u]
-	return p, ok
+	if s.kind == Additive {
+		return s.additive.Payment(u)
+	}
+	return s.subst.Payment(u)
 }
 
 // Invoices returns a copy of every settled user's total charged payments.
 func (s *Service) Invoices() map[UserID]Money {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[UserID]Money, len(s.invoices))
-	for u, p := range s.invoices {
-		out[u] = p
+	if s.kind == Additive {
+		return s.additive.Payments()
 	}
-	return out
+	return s.subst.Payments()
 }
 
 // Revenue returns the total payments charged so far.
@@ -236,11 +230,10 @@ func (s *Service) Revenue() Money {
 }
 
 func (s *Service) revenueLocked() Money {
-	var total Money
-	for _, p := range s.invoices {
-		total += p
+	if s.kind == Additive {
+		return s.additive.TotalRevenue()
 	}
-	return total
+	return s.subst.TotalRevenue()
 }
 
 // CostIncurred returns the summed cost of implemented optimizations.
