@@ -129,6 +129,11 @@ func BenchmarkShardedIngest4Obs(b *testing.B) { benchkit.ShardedIngestInstrument
 // reports the heap the settled tiers keep per bid ("retained-B/bid").
 func BenchmarkTierRetained(b *testing.B) { benchkit.TierRetained()(b) }
 
+// BenchmarkTierRetainedOpen plays 200 slots of a 400-slot season-shaped
+// 4-shard period and reports the heap the open tier keeps per user
+// ("retained-B/user").
+func BenchmarkTierRetainedOpen(b *testing.B) { benchkit.TierRetainedOpen()(b) }
+
 // BenchmarkEngineHashJoin measures a 10k × 10k hash join plus grouped
 // count through the columnar query engine.
 func BenchmarkEngineHashJoin(b *testing.B) { benchkit.EngineHashJoin()(b) }

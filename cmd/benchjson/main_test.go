@@ -84,7 +84,7 @@ func TestKeyBenchmarksRegistered(t *testing.T) {
 		"AddOnSeason": true, "SubstOnSeason": true,
 		"ServiceGame":    true,
 		"ShardedIngest1": true, "ShardedIngest4": true, "ShardedIngest4Obs": true,
-		"ShardedIngest4Net": true, "TierRetained": true,
+		"ShardedIngest4Net": true, "TierRetained": true, "TierRetainedOpen": true,
 		"EngineHashJoin": true, "EngineHashJoinParallel4": true,
 		"EngineBuildJoin": true, "EngineBuildJoinParallel4": true,
 		"EngineOrderBy": true, "EngineOrderByParallel4": true,

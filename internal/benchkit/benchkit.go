@@ -133,13 +133,13 @@ const (
 	seasonMaxLen   = 48  // bid lengths are 1..seasonMaxLen slots
 )
 
-// seasonGame draws a season-shaped game: seasonArrivals tenants bid
-// after every slot, each starting one or two slots later for up to
-// seasonMaxLen slots, at 1–20 cents a slot, against a catalog of
-// seasonOpts $20 optimizations.
-func seasonGame(seed uint64, substitutive bool) ([]core.Optimization, []seasonArrival) {
+// seasonGame draws a season-shaped game of the given horizon:
+// seasonArrivals tenants bid after every slot, each starting one or two
+// slots later for up to seasonMaxLen slots, at 1–20 cents a slot,
+// against a catalog of opts $20 optimizations.
+func seasonGame(seed uint64, opts int, horizon core.Slot, substitutive bool) ([]core.Optimization, []seasonArrival) {
 	r := stats.NewRNG(seed)
-	catalog := make([]core.Optimization, seasonOpts)
+	catalog := make([]core.Optimization, opts)
 	for i := range catalog {
 		catalog[i] = core.Optimization{ID: core.OptID(i + 1), Cost: econ.FromDollars(20)}
 	}
@@ -151,24 +151,24 @@ func seasonGame(seed uint64, substitutive bool) ([]core.Optimization, []seasonAr
 		return out
 	}
 	var arrivals []seasonArrival
-	for after := core.Slot(0); after < seasonSlots-2; after++ {
+	for after := core.Slot(0); after < horizon-2; after++ {
 		for range seasonArrivals {
 			start := after + 1 + core.Slot(r.Intn(2))
-			end := min(start+core.Slot(r.Intn(seasonMaxLen)), seasonSlots)
+			end := min(start+core.Slot(r.Intn(seasonMaxLen)), horizon)
 			a := seasonArrival{after: after, bid: core.OnlineBid{
 				User: core.UserID(len(arrivals) + 1), Start: start, End: end,
 				Values: values(int(end - start + 1)),
 			}}
 			if substitutive {
-				for _, k := range r.SampleK(seasonOpts, seasonSubsts) {
+				for _, k := range r.SampleK(opts, seasonSubsts) {
 					a.set = append(a.set, core.OptID(k+1))
 				}
 			} else {
-				a.opt = core.OptID(1 + r.Intn(seasonOpts))
+				a.opt = core.OptID(1 + r.Intn(opts))
 			}
 			if r.Intn(5) == 0 {
 				rev := a.bid
-				rev.End = min(end+core.Slot(r.Intn(5)), seasonSlots)
+				rev.End = min(end+core.Slot(r.Intn(5)), horizon)
 				rev.Values = values(int(rev.End - start + 1))
 				for k, v := range a.bid.Values {
 					rev.Values[k] = v + econ.FromCents(1+int64(r.Intn(10)))
@@ -181,25 +181,26 @@ func seasonGame(seed uint64, substitutive bool) ([]core.Optimization, []seasonAr
 	return catalog, arrivals
 }
 
-// playSeason plays one season-shaped game: after every slot it submits
-// that slot's arrivals, each followed by its revision if any, then
-// advances the game.
-func playSeason(b *testing.B, arrivals []seasonArrival, submit func(seasonArrival, core.OnlineBid) error, advance func()) {
+// playSeason plays the first slots of a season-shaped game: after every
+// slot it submits that slot's arrivals, each followed by its revision if
+// any, then advances the game. It returns the number of arrivals.
+func playSeason(tb testing.TB, slots core.Slot, arrivals []seasonArrival, submit func(seasonArrival, core.OnlineBid) error, advance func()) int {
 	next := 0
-	for t := core.Slot(0); t < seasonSlots; t++ {
+	for t := core.Slot(0); t < slots; t++ {
 		for ; next < len(arrivals) && arrivals[next].after == t; next++ {
 			a := arrivals[next]
 			if err := submit(a, a.bid); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if a.rev != nil {
 				if err := submit(a, *a.rev); err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 			}
 		}
 		advance()
 	}
+	return next
 }
 
 // AddOnSeason returns the benchmark body for one season-shaped additive
@@ -207,12 +208,12 @@ func playSeason(b *testing.B, arrivals []seasonArrival, submit func(seasonArriva
 // arrivals each over 12 optimizations.
 func AddOnSeason() func(b *testing.B) {
 	return func(b *testing.B) {
-		catalog, arrivals := seasonGame(12, false)
+		catalog, arrivals := seasonGame(12, seasonOpts, seasonSlots, false)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			game := core.NewAdditiveGame(catalog)
-			playSeason(b, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
+			playSeason(b, seasonSlots, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
 				return game.Submit(a.opt, bid)
 			}, func() { game.AdvanceSlot() })
 			game.Close()
@@ -225,12 +226,12 @@ func AddOnSeason() func(b *testing.B) {
 // substitutes.
 func SubstOnSeason() func(b *testing.B) {
 	return func(b *testing.B) {
-		catalog, arrivals := seasonGame(13, true)
+		catalog, arrivals := seasonGame(13, seasonOpts, seasonSlots, true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			game := core.NewSubstOn(catalog)
-			playSeason(b, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
+			playSeason(b, seasonSlots, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
 				return game.Submit(core.OnlineSubstBid{User: bid.User, Opts: a.set, Start: bid.Start, End: bid.End, Values: bid.Values})
 			}, func() { game.AdvanceSlot() })
 			game.Close()
@@ -482,6 +483,7 @@ func Key() []struct {
 		{"ShardedIngest4Obs", ShardedIngestInstrumented(4)},
 		{"ShardedIngest4Net", ShardedIngestNet(4)},
 		{"TierRetained", TierRetained()},
+		{"TierRetainedOpen", TierRetainedOpen()},
 		{"EngineHashJoin", EngineHashJoin()},
 		{"EngineHashJoinParallel4", EngineHashJoinParallel(4)},
 		{"EngineBuildJoin", EngineBuildJoin()},

@@ -328,6 +328,61 @@ func tierRetainedPerBid(tb testing.TB) float64 {
 	return float64(retained) / float64(user)
 }
 
+// The season-shaped open period TierRetainedOpen holds: a 4-shard
+// additive tier over 16 optimizations and a 400-slot horizon, stopped
+// after its first 200 slots, with seasonArrivals new users (a fifth of
+// them revising) bidding after each slot — 9,600 users.
+const (
+	openShards  = 4
+	openOpts    = 16
+	openHorizon = core.Slot(400)
+	openPlayed  = core.Slot(200)
+)
+
+// TierRetainedOpen returns the benchmark body that measures what a tier
+// holds per user while its period is still open: every bid keeps its
+// dedup digest, the users present their curves in the validators and the
+// settlement game, and the departed ones their payments. It reports the live
+// heap the open tier holds after a collection, divided by the users
+// ("retained-B/user").
+func TierRetainedOpen() func(b *testing.B) {
+	return func(b *testing.B) {
+		var perUser float64
+		for i := 0; i < b.N; i++ {
+			perUser = tierRetainedOpenPerUser(b)
+		}
+		b.ReportMetric(perUser, "retained-B/user")
+	}
+}
+
+// tierRetainedOpenPerUser plays the open period above over journals that
+// discard their bytes and returns the heap the open tier retains, in
+// bytes per user. The bids are drawn before the count starts and kept
+// alive past it, so only what the tier allocates is counted.
+func tierRetainedOpenPerUser(tb testing.TB) float64 {
+	catalog, arrivals := seasonGame(25, openOpts, openHorizon, false)
+	before := liveHeap()
+	writers := make([]io.Writer, openShards)
+	for s := range writers {
+		writers[s] = io.Discard
+	}
+	ss, err := resilience.NewShardedService(sharedopt.Additive, catalog, openHorizon, writers, resilience.ShardedConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	users := playSeason(tb, openPlayed, arrivals, func(a seasonArrival, bid core.OnlineBid) error {
+		return ss.SubmitAdditiveBid(a.opt, bid)
+	}, func() {
+		if _, err := ss.AdvanceSlot(); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	retained := liveHeap() - before
+	runtime.KeepAlive(ss)
+	runtime.KeepAlive(arrivals)
+	return float64(retained) / float64(users)
+}
+
 // liveHeap collects garbage and returns the bytes of the objects that
 // survived.
 func liveHeap() int64 {

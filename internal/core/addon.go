@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sharedopt/internal/appendmap"
 	"sharedopt/internal/econ"
 )
 
@@ -82,10 +83,12 @@ func byUser(a, b *onlineUser) int { return cmp.Compare(a.id, b.id) }
 // the serviced present users are an active list, kept in user order, that
 // newly serviced users are merged into and that is pruned at departures;
 // and every user is filed under their end slot, again under a later end if
-// a revision extends it. A charged user leaves behind only their payment:
-// CSj keeps counting them through servicedCount alone. The Shapley pass
-// runs on the sorted-prefix form of the mechanism over a scratch buffer
-// reused across slots, so a warm game allocates only its per-slot report.
+// a revision extends it. A charged user leaves behind only their payment,
+// a 16-byte entry in an insert-only internal/appendmap table, about 23
+// bytes with its index (Close trims the table's spare room); CSj keeps
+// counting them through servicedCount alone. The Shapley pass runs on the
+// sorted-prefix form of the mechanism over a scratch buffer reused across
+// slots, so a warm game allocates only its per-slot report.
 //
 // Because optimizations are additive, a game with several optimizations is
 // a set of independent AddOn instances; see AdditiveGame.
@@ -93,12 +96,12 @@ type AddOn struct {
 	opt Optimization
 	now Slot // last processed slot; 0 before the first AdvanceSlot
 
-	users    map[UserID]*onlineUser // present users
-	pending  []*onlineUser          // present users not yet serviced, in no order
-	active   []*onlineUser          // present serviced users, by user
-	ends     map[Slot][]UserID      // users by end slot; stale once an end moved
-	departed map[UserID]econ.Money  // charged users' payments
-	revenue  econ.Money             // sum of departed
+	users    map[UserID]*onlineUser            // present users
+	pending  []*onlineUser                     // present users not yet serviced, in no order
+	active   []*onlineUser                     // present serviced users, by user
+	ends     map[Slot][]UserID                 // users by end slot; stale once an end moved
+	departed appendmap.Map[UserID, econ.Money] // charged users' payments
+	revenue  econ.Money                        // sum of departed
 
 	implemented   bool
 	implementedAt Slot
@@ -115,10 +118,9 @@ func NewAddOn(opt Optimization) *AddOn {
 		panic(err)
 	}
 	return &AddOn{
-		opt:      opt,
-		users:    make(map[UserID]*onlineUser),
-		ends:     make(map[Slot][]UserID),
-		departed: make(map[UserID]econ.Money),
+		opt:   opt,
+		users: make(map[UserID]*onlineUser),
+		ends:  make(map[Slot][]UserID),
 	}
 }
 
@@ -145,7 +147,7 @@ func (a *AddOn) Submit(bid OnlineBid) error {
 	if err := checkStart(bid, a.now); err != nil {
 		return err
 	}
-	_, gone := a.departed[bid.User]
+	_, gone := a.departed.Get(bid.User)
 	if err := checkPresent(bid.User, gone); err != nil {
 		return err
 	}
@@ -277,7 +279,7 @@ func (a *AddOn) charge(departures map[UserID]econ.Money) {
 // about them. A pending list may still point at them until its next pass,
 // so their curve is released here.
 func (a *AddOn) depart(u *onlineUser, payment econ.Money) {
-	a.departed[u.id] = payment
+	a.departed.Put(u.id, payment)
 	a.revenue += payment
 	delete(a.users, u.id)
 	u.release()
@@ -303,6 +305,7 @@ func (a *AddOn) Close() map[UserID]econ.Money {
 	a.users = make(map[UserID]*onlineUser)
 	a.ends = make(map[Slot][]UserID)
 	a.pending, a.active = nil, nil
+	a.departed.Clip()
 	return settled
 }
 
@@ -318,8 +321,7 @@ func (a *AddOn) currentShare() econ.Money {
 // Payment returns the user's final payment and whether she has been
 // charged yet.
 func (a *AddOn) Payment(u UserID) (econ.Money, bool) {
-	p, ok := a.departed[u]
-	return p, ok
+	return a.departed.Get(u)
 }
 
 // TotalRevenue returns the sum of all payments charged so far.
@@ -440,7 +442,7 @@ func (g *AdditiveGame) Payment(u UserID) (econ.Money, bool) {
 func (g *AdditiveGame) Payments() map[UserID]econ.Money {
 	out := make(map[UserID]econ.Money)
 	for _, id := range g.order {
-		for u, p := range g.games[id].departed {
+		for u, p := range g.games[id].departed.All() {
 			out[u] += p
 		}
 	}

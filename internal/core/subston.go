@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"sharedopt/internal/appendmap"
 	"sharedopt/internal/econ"
 )
 
@@ -76,9 +77,11 @@ type substPaid struct {
 // users not yet granted is all the phase loop reads, an active list of
 // present granted users is kept in (optimization, user) order, users are
 // filed under their end slots, and a charged user leaves behind only their
-// payment and granted optimization. The forced sets enter the phase loop
-// as per-optimization counts. The phase loop runs on scratch buffers
-// reused across AdvanceSlot calls and on O(1) suffix-sum residual lookups.
+// payment and granted optimization, a 24-byte entry in an insert-only
+// internal/appendmap table (Close trims the table's spare room). The
+// forced sets enter the phase loop as per-optimization counts. The phase
+// loop runs on scratch buffers reused across AdvanceSlot calls and on
+// O(1) suffix-sum residual lookups.
 type SubstOn struct {
 	opts []Optimization
 	// optPos maps each optimization to its position in opts — the index
@@ -89,12 +92,12 @@ type SubstOn struct {
 	implemented map[OptID]Slot
 	granted     []int // granted[pos]: users ever granted opts[pos], the forced set sizes
 
-	users    map[UserID]*substUser // present users
-	pending  []*substUser          // present users not yet granted, in no order
-	active   []*substUser          // present granted users, by (opt, user)
-	ends     map[Slot][]UserID     // users by end slot; stale once an end moved
-	departed map[UserID]substPaid  // charged users
-	revenue  econ.Money            // sum of departed payments
+	users    map[UserID]*substUser            // present users
+	pending  []*substUser                     // present users not yet granted, in no order
+	active   []*substUser                     // present granted users, by (opt, user)
+	ends     map[Slot][]UserID                // users by end slot; stale once an end moved
+	departed appendmap.Map[UserID, substPaid] // charged users
+	revenue  econ.Money                       // sum of departed payments
 
 	bidders []substBidder // per-slot buffer, reused across AdvanceSlot
 	fresh   []*substUser  // per-slot newly granted users, reused likewise
@@ -118,7 +121,6 @@ func NewSubstOn(opts []Optimization) *SubstOn {
 		granted:     make([]int, len(opts)),
 		users:       make(map[UserID]*substUser),
 		ends:        make(map[Slot][]UserID),
-		departed:    make(map[UserID]substPaid),
 	}
 }
 
@@ -153,7 +155,7 @@ func (s *SubstOn) Submit(bid OnlineSubstBid) error {
 	if err := checkStart(online, s.now); err != nil {
 		return err
 	}
-	_, gone := s.departed[bid.User]
+	_, gone := s.departed.Get(bid.User)
 	if err := checkPresent(bid.User, gone); err != nil {
 		return err
 	}
@@ -268,7 +270,7 @@ func (s *SubstOn) AdvanceSlot() SlotReport {
 // forgets everything else about them. The pending list may still point at
 // them until its next pass, so their curve is released here.
 func (s *SubstOn) depart(u *substUser, payment econ.Money) {
-	s.departed[u.id] = substPaid{payment: payment, opt: u.grantedOpt}
+	s.departed.Put(u.id, substPaid{payment: payment, opt: u.grantedOpt})
 	s.revenue += payment
 	delete(s.users, u.id)
 	u.curve.release()
@@ -293,20 +295,21 @@ func (s *SubstOn) Close() map[UserID]econ.Money {
 	s.users = make(map[UserID]*substUser)
 	s.ends = make(map[Slot][]UserID)
 	s.pending, s.active = nil, nil
+	s.departed.Clip()
 	return settled
 }
 
 // Payment returns the user's final payment and whether she has been
 // charged yet.
 func (s *SubstOn) Payment(u UserID) (econ.Money, bool) {
-	p, ok := s.departed[u]
+	p, ok := s.departed.Get(u)
 	return p.payment, ok
 }
 
 // Payments returns a new map of every charged user's payment.
 func (s *SubstOn) Payments() map[UserID]econ.Money {
-	out := make(map[UserID]econ.Money, len(s.departed))
-	for u, p := range s.departed {
+	out := make(map[UserID]econ.Money, s.departed.Len())
+	for u, p := range s.departed.All() {
 		out[u] = p.payment
 	}
 	return out
@@ -317,7 +320,7 @@ func (s *SubstOn) GrantedOpt(u UserID) (OptID, bool) {
 	if usr := s.users[u]; usr != nil {
 		return usr.grantedOpt, usr.granted
 	}
-	p := s.departed[u]
+	p, _ := s.departed.Get(u)
 	return p.opt, p.payment > 0
 }
 

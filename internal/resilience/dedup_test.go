@@ -125,6 +125,73 @@ func TestShardHostReleasesValidatorAtPeriodEnd(t *testing.T) {
 	}
 }
 
+// TestShardHostDedupManyChunks: a shard's dedup digests stay exact
+// across the append map's chunk boundaries and index growths and through
+// the period's end. A shard takes 620 bids (three 256-entry chunks, six
+// index growths) and is closed by the horizon's adv marker; then, live
+// and on a host recovered from its journal, a duplicate of every bid is
+// acknowledged with its original Seq and journals nothing, and a new bid
+// is refused with ErrPeriodOver.
+func TestShardHostDedupManyChunks(t *testing.T) {
+	const bids, horizon = 620, 3
+	ctx := context.Background()
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}, {ID: 2, Cost: econ.FromDollars(7)}}
+	for _, kind := range []sharedopt.GameKind{sharedopt.Additive, sharedopt.Substitutive} {
+		bid := func(u core.UserID) Record {
+			start := core.Slot(1 + int(u)%horizon)
+			values := make([]econ.Money, horizon-start+1)
+			for k := range values {
+				values[k] = econ.FromCents(int64(1 + (int(u)*7+k)%90))
+			}
+			if kind == sharedopt.Additive {
+				return Record{Kind: KindAdditiveBid, User: u, Opt: core.OptID(1 + int(u)%2), Start: start, End: horizon, Values: values}
+			}
+			return Record{Kind: KindSubstBid, User: u, Set: []core.OptID{1, 2}[int(u)%2:], Start: start, End: horizon, Values: values}
+		}
+		var m MemLog
+		h, err := NewShardHost(kind, catalog, horizon, 0, 1, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs := make([]uint64, bids)
+		for i := range seqs {
+			res, err := h.Submit(ctx, bid(core.UserID(i+1)))
+			if err != nil || !res.Fresh {
+				t.Fatalf("%v: bid %d: %+v, %v", kind, i+1, res, err)
+			}
+			seqs[i] = res.Seq
+		}
+		for w := 1; w <= horizon; w++ {
+			if err := h.Advance(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(h *ShardHost, when string) {
+			t.Helper()
+			before := m.Len()
+			for i, seq := range seqs {
+				dup, err := h.Submit(ctx, bid(core.UserID(i+1)))
+				if err != nil || dup.Fresh || dup.Seq != seq {
+					t.Fatalf("%v, %s: duplicate of bid %d acknowledged as %+v, %v; want Seq %d", kind, when, i+1, dup, err, seq)
+				}
+			}
+			if _, err := h.Submit(ctx, bid(bids+1)); !errors.Is(err, sharedopt.ErrPeriodOver) {
+				t.Fatalf("%v, %s: new bid after the period returned %v, want ErrPeriodOver", kind, when, err)
+			}
+			if m.Len() != before {
+				t.Fatalf("%v, %s: journal grew from %d to %d bytes", kind, when, before, m.Len())
+			}
+		}
+		check(h, "live")
+		recs, _, _ := ReadJournal(m.Bytes())
+		back, err := RecoverShardHost(recs, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(back, "recovered")
+	}
+}
+
 // lossyLink fronts a shard and loses the replies of the next lose
 // submissions after the shard has decided them, as a dropped connection
 // does: the caller sees ErrShardUnavailable though the bid is durable.

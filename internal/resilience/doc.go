@@ -37,15 +37,16 @@
 // ShardedService partitions users across N shards. ShardFor routes each
 // user to one shard by a fixed hash, so a user's bids — and any
 // conflicting revisions — always meet the same journal. A shard
-// (ShardHost) is a validator, a dedup map, and a journal: the
+// (ShardHost) is a validator, a dedup table, and a journal: the
 // core.Validator applies the online mechanisms' admission rules
 // (retroactive bids, monotone revisions, departures, fixed substitute
 // sets) to its users' declared curves, digest dedup makes a
 // resubmission idempotent, and an admitted bid is journaled before it is
 // acknowledged. Dedup keys on the SHA-256 of the record's canonical
-// payload (Seq zeroed) and maps it to the record's sequence; that
-// payload is marshaled once per fresh bid and also yields the journal
-// line. The router tells a duplicate acknowledgment from a fresh one by
+// payload (Seq zeroed) and maps it to the record's sequence in an
+// insert-only internal/appendmap table, whose index is hashed under a
+// per-shard seed and whose hits compare the whole digest; that payload
+// is marshaled once per fresh bid and also yields the journal line. The router tells a duplicate acknowledgment from a fresh one by
 // the sequence it carries, and digests a record only when a transport
 // failure leaves it in doubt. No shard runs the mechanism. Slot settlement makes one
 // adv marker durable per shard, then folds every shard's batch into the
@@ -64,7 +65,7 @@
 // further acknowledged work on it, while every other shard keeps
 // accepting. Only when every shard is wedged does the tier refuse to
 // advance, with ErrJournalBroken. RecoverShardHost rebuilds one shard by
-// replaying its journal into a fresh validator and dedup map;
+// replaying its journal into a fresh validator and dedup table;
 // RecoverShardedService rebuilds the tier from the N surviving journals
 // (any subset torn or truncated): each shard's accepted prefix replays
 // independently, then the slot frontiers reconcile — the maximum durable

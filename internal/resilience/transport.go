@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"sharedopt"
+	"sharedopt/internal/appendmap"
 	"sharedopt/internal/core"
 )
 
@@ -118,11 +119,11 @@ type ShardHost struct {
 	// seen maps the digest of each journaled bid's canonical payload to
 	// its record's sequence, so a duplicate delivery — local retry or
 	// network — is acknowledged with the original record's identity. Its
-	// 40 bytes of key and value cost about 94 bytes per bid with the map's
-	// buckets and growth slack, and it outlives the user's curve and the
+	// 40 bytes of key and value cost about 47 bytes per bid with the
+	// append map's index, and it outlives the user's curve and the
 	// period: a departed user's duplicate, or a pre-close bid's, is still
 	// recognized.
-	seen map[[sha256.Size]byte]uint64
+	seen appendmap.Map[[sha256.Size]byte, uint64]
 	// closing is set once the close marker is journaled.
 	closing bool
 	bids    uint64
@@ -133,7 +134,7 @@ type ShardHost struct {
 func newShardHost(cfg Record, kind sharedopt.GameKind, j *Journal) *ShardHost {
 	return &ShardHost{
 		kind: kind, horizon: cfg.Horizon, shard: cfg.Shard, shards: cfg.Shards, opts: cfg.Opts,
-		j: j, v: core.NewValidator(catalogOf(cfg.Opts)), seen: make(map[[sha256.Size]byte]uint64),
+		j: j, v: core.NewValidator(catalogOf(cfg.Opts)),
 	}
 }
 
@@ -210,7 +211,12 @@ func (h *ShardHost) replay(rec Record) error {
 		if err := h.admit(rec); err != nil {
 			return errCorrupt(rec, err)
 		}
-		h.seen[digest(rec.canonical())] = rec.Seq
+		// A live host never journals a digest twice; if a damaged journal
+		// does, duplicates keep acknowledging the first record.
+		key := digest(rec.canonical())
+		if _, dup := h.seen.Get(key); !dup {
+			h.seen.Put(key, rec.Seq)
+		}
 		h.bids++
 	case KindAdvanceSlot:
 		if h.closed() {
@@ -220,7 +226,7 @@ func (h *ShardHost) replay(rec Record) error {
 		h.releaseIfClosed()
 	case KindClosePeriod:
 		h.closing = true
-		h.v.Close()
+		h.releaseIfClosed()
 	default:
 		return fmt.Errorf("resilience: corrupt journal: unexpected %s record %d", rec.Kind, rec.Seq)
 	}
@@ -232,10 +238,12 @@ func (h *ShardHost) replay(rec Record) error {
 func (h *ShardHost) closed() bool { return h.closing || h.v.Now() >= h.horizon }
 
 // releaseIfClosed frees the validator's curves once the period is over:
-// admit refuses every bid from then on without consulting them.
+// admit refuses every bid from then on without consulting them. The
+// dedup digests stop growing then, so their spare room goes too.
 func (h *ShardHost) releaseIfClosed() {
 	if h.closed() {
 		h.v.Close()
+		h.seen.Clip()
 	}
 }
 
@@ -333,7 +341,7 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 	}
 	canonical := rec.canonical()
 	key := digest(canonical)
-	if seq, ok := h.seen[key]; ok {
+	if seq, ok := h.seen.Get(key); ok {
 		return SubmitResult{Seq: seq}, nil
 	}
 	if err := h.admit(rec); err != nil {
@@ -343,7 +351,7 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 	if err != nil {
 		return SubmitResult{}, h.brokenErr(err)
 	}
-	h.seen[key] = seq
+	h.seen.Put(key, seq)
 	h.bids++
 	return SubmitResult{Seq: seq, Fresh: true}, nil
 }
@@ -396,7 +404,7 @@ func (h *ShardHost) ClosePeriod(ctx context.Context) error {
 		return nil
 	}
 	h.closing = true
-	h.v.Close()
+	h.releaseIfClosed()
 	return h.brokenErr(h.j.Append(Record{Kind: KindClosePeriod}))
 }
 
