@@ -170,9 +170,8 @@ func (tr *Tracker) Progenitor(cur int, g int32, prev int, meter *engine.Meter) (
 	} else {
 		q = q.HashJoin(engine.Scan(prevTbl, meter).WithParallelism(par), "pid", "pid")
 	}
-	// Top1 returns the winning group directly — no final result-set
-	// materialization — while charging exactly what Top1By(...).Rows()
-	// charged.
+	// Top1 materializes only the winning group and charges it as one
+	// emitted row.
 	row, ok, err := q.GroupCount("halo").Top1("count")
 	if err != nil {
 		return 0, false, err

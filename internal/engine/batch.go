@@ -6,22 +6,22 @@ package engine
 // per-row interface calls and no per-row Datum materialization.
 //
 // Metering contract: batch operators charge the meter for exactly the
-// same unit counts, in the same places, as the retained row-at-a-time
-// reference in rowref.go — one scan per row a Scan produces, one build
-// per row entering a hash build or aggregation, one probe per probe-side
-// row reaching a join, one emit per row leaving Rows/ForEachBatch. When a
-// Limit bounds the query, operators propagate the remaining row budget
-// upstream and pull exactly the rows a row-at-a-time engine would have
-// pulled, so lazy early-exit metering is also identical.
+// same unit counts, in the same places, as the row-at-a-time reference
+// executor the tests keep in rowref_test.go — one scan per row a Scan
+// produces, one build per row entering a hash build or aggregation, one
+// probe per probe-side row reaching a join, one emit per row leaving
+// Rows/ForEachBatch/Top1. A drain pulls its input to exhaustion, so the
+// counts do not depend on batch boundaries; a ForEachBatch that its
+// callback stops early is the one exception (see its comment).
 //
 // The streamable operators here (scan, filter, project, join probes) are
 // also instantiated per worker by the morsel-parallel scheduler in
 // parallel.go; their only shared state across instances is read-only
 // (tables, build sides, hash indexes).
 
-// batchSize is the number of rows an unbounded batch carries. 1024 keeps
-// a batch of a few int64 columns inside L2 while amortizing per-batch
-// overhead to noise.
+// batchSize is the most rows a batch carries. 1024 keeps a batch of a
+// few int64 columns inside L2 while amortizing per-batch overhead to
+// noise.
 const batchSize = 1024
 
 // Vector is one column of a Batch. Exactly the slice matching Kind is
@@ -85,13 +85,11 @@ func (b *Batch) forEachActive(fn func(pos int)) {
 }
 
 // batchIterator is the pull interface between batch operators. nextBatch
-// returns nil when exhausted. limit > 0 is a row budget: produce at most
-// limit rows and pull from upstream only what a row-at-a-time engine
-// serving limit rows would have pulled (meters depend on this); limit <= 0
-// means unbounded.
+// returns the next batch of at most batchSize rows, or nil when
+// exhausted.
 type batchIterator interface {
 	Schema() Schema
-	nextBatch(limit int) *Batch
+	nextBatch() *Batch
 }
 
 // batchScan streams a table's columns as zero-copy vector views.
@@ -104,7 +102,7 @@ type batchScan struct {
 
 func (s *batchScan) Schema() Schema { return s.t.Schema() }
 
-func (s *batchScan) nextBatch(limit int) *Batch {
+func (s *batchScan) nextBatch() *Batch {
 	remaining := s.t.Len() - s.pos
 	if remaining <= 0 {
 		return nil
@@ -112,9 +110,6 @@ func (s *batchScan) nextBatch(limit int) *Batch {
 	n := batchSize
 	if remaining < n {
 		n = remaining
-	}
-	if limit > 0 && limit < n {
-		n = limit
 	}
 	lo, hi := s.pos, s.pos+n
 	s.pos = hi
@@ -143,53 +138,29 @@ func (s *batchScan) nextBatch(limit int) *Batch {
 	return &s.out
 }
 
-// batchFilter applies a predicate, narrowing the selection vector.
-// intEq != -1 makes it a columnar int64-equality filter; otherwise pred
-// runs over a scratch row (reused across calls — predicates must not
-// retain it).
+// batchFilter keeps the rows whose Int64 column col equals val,
+// narrowing the selection vector.
 type batchFilter struct {
-	in    batchIterator
-	intEq int // column index for the fast path, or -1
-	eqVal int64
-	pred  func(Row) bool
+	in  batchIterator
+	col int
+	val int64
 
-	selBuf  []int32
-	scratch Row
-	out     Batch
-
-	// gather buffers for the bounded path (limit > 0), where passing rows
-	// are copied out one upstream pull at a time.
-	gather    []Vector
-	gatherLen int
+	selBuf []int32
+	out    Batch
 }
 
 func (f *batchFilter) Schema() Schema { return f.in.Schema() }
 
-func (f *batchFilter) passes(b *Batch, pos int) bool {
-	if f.intEq >= 0 {
-		return b.cols[f.intEq].Ints[pos] == f.eqVal
-	}
-	if f.scratch == nil {
-		f.scratch = make(Row, len(f.in.Schema()))
-	}
-	for c := range b.cols {
-		f.scratch[c] = b.cols[c].datum(pos)
-	}
-	return f.pred(f.scratch)
-}
-
-func (f *batchFilter) nextBatch(limit int) *Batch {
-	if limit > 0 {
-		return f.nextBounded(limit)
-	}
+func (f *batchFilter) nextBatch() *Batch {
 	for {
-		b := f.in.nextBatch(0)
+		b := f.in.nextBatch()
 		if b == nil {
 			return nil
 		}
+		vec := b.cols[f.col].Ints
 		sel := f.selBuf[:0]
 		b.forEachActive(func(pos int) {
-			if f.passes(b, pos) {
+			if vec[pos] == f.val {
 				sel = append(sel, int32(pos))
 			}
 		})
@@ -200,48 +171,6 @@ func (f *batchFilter) nextBatch(limit int) *Batch {
 		f.out = Batch{cols: b.cols, sel: sel, n: b.n}
 		return &f.out
 	}
-}
-
-// nextBounded pulls upstream rows one at a time until it has limit
-// passing rows (or upstream is dry), exactly like a row-at-a-time filter
-// under a limit, and copies them into gather buffers.
-func (f *batchFilter) nextBounded(limit int) *Batch {
-	schema := f.in.Schema()
-	if f.gather == nil {
-		f.gather = make([]Vector, len(schema))
-		for i, c := range schema {
-			f.gather[i].Kind = c.Type
-		}
-	}
-	for i := range f.gather {
-		v := &f.gather[i]
-		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
-	}
-	f.gatherLen = 0
-	for f.gatherLen < limit {
-		b := f.in.nextBatch(1)
-		if b == nil {
-			break
-		}
-		got := false
-		b.forEachActive(func(pos int) {
-			if got || !f.passes(b, pos) {
-				return
-			}
-			got = true
-			for c := range b.cols {
-				appendValue(&f.gather[c], &b.cols[c], pos)
-			}
-		})
-		if got {
-			f.gatherLen++
-		}
-	}
-	if f.gatherLen == 0 {
-		return nil
-	}
-	f.out = Batch{cols: f.gather, sel: nil, n: f.gatherLen}
-	return &f.out
 }
 
 // appendValue copies src's value at physical position pos onto dst.
@@ -267,8 +196,8 @@ type batchProject struct {
 
 func (p *batchProject) Schema() Schema { return p.schema }
 
-func (p *batchProject) nextBatch(limit int) *Batch {
-	b := p.in.nextBatch(limit)
+func (p *batchProject) nextBatch() *Batch {
+	b := p.in.nextBatch()
 	if b == nil {
 		return nil
 	}
@@ -414,7 +343,7 @@ func materializeBuild(in batchIterator, keyIdx int, meter *Meter) *buildSide {
 	}
 	var keys []int64
 	for {
-		b := in.nextBatch(0)
+		b := in.nextBatch()
 		if b == nil {
 			break
 		}
@@ -465,7 +394,7 @@ func activeAt(b *Batch, i int) int {
 	return i
 }
 
-func (h *batchHashJoin) nextBatch(limit int) *Batch {
+func (h *batchHashJoin) nextBatch() *Batch {
 	nProbe := len(h.in.Schema())
 	if h.out.cols == nil {
 		h.out.cols = make([]Vector, len(h.schema))
@@ -477,12 +406,8 @@ func (h *batchHashJoin) nextBatch(limit int) *Batch {
 		v := &h.out.cols[i]
 		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 	}
-	max := batchSize
-	if limit > 0 && limit < max {
-		max = limit
-	}
 	emitted := 0
-	for emitted < max {
+	for emitted < batchSize {
 		if h.pending >= 0 {
 			for c := 0; c < nProbe; c++ {
 				appendValue(&h.out.cols[c], &h.cur.cols[c], h.curRow)
@@ -496,11 +421,7 @@ func (h *batchHashJoin) nextBatch(limit int) *Batch {
 			continue
 		}
 		if h.cur == nil || h.curPos >= h.cur.Len() {
-			pull := 0
-			if limit > 0 {
-				pull = 1
-			}
-			h.cur = h.in.nextBatch(pull)
+			h.cur = h.in.nextBatch()
 			h.curPos = 0
 			if h.cur == nil {
 				break
@@ -544,7 +465,7 @@ type batchIndexJoin struct {
 
 func (ij *batchIndexJoin) Schema() Schema { return ij.schema }
 
-func (ij *batchIndexJoin) nextBatch(limit int) *Batch {
+func (ij *batchIndexJoin) nextBatch() *Batch {
 	nProbe := len(ij.in.Schema())
 	t := ij.idx.Table()
 	if ij.out.cols == nil {
@@ -557,12 +478,8 @@ func (ij *batchIndexJoin) nextBatch(limit int) *Batch {
 		v := &ij.out.cols[i]
 		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 	}
-	max := batchSize
-	if limit > 0 && limit < max {
-		max = limit
-	}
 	emitted := 0
-	for emitted < max {
+	for emitted < batchSize {
 		if ij.pendPos < len(ij.pending) {
 			pos := int(ij.pending[ij.pendPos])
 			ij.pendPos++
@@ -586,11 +503,7 @@ func (ij *batchIndexJoin) nextBatch(limit int) *Batch {
 			continue
 		}
 		if ij.cur == nil || ij.curPos >= ij.cur.Len() {
-			pull := 0
-			if limit > 0 {
-				pull = 1
-			}
-			ij.cur = ij.in.nextBatch(pull)
+			ij.cur = ij.in.nextBatch()
 			ij.curPos = 0
 			if ij.cur == nil {
 				break
@@ -611,7 +524,7 @@ func (ij *batchIndexJoin) nextBatch(limit int) *Batch {
 }
 
 // batchSlice serves pre-materialized vectors (aggregation and sort
-// results), honoring row budgets by slicing views.
+// results) as batchSize-row views.
 type batchSlice struct {
 	cols   []Vector
 	rows   int
@@ -622,7 +535,7 @@ type batchSlice struct {
 
 func (s *batchSlice) Schema() Schema { return s.schema }
 
-func (s *batchSlice) nextBatch(limit int) *Batch {
+func (s *batchSlice) nextBatch() *Batch {
 	remaining := s.rows - s.pos
 	if remaining <= 0 {
 		return nil
@@ -630,9 +543,6 @@ func (s *batchSlice) nextBatch(limit int) *Batch {
 	n := batchSize
 	if remaining < n {
 		n = remaining
-	}
-	if limit > 0 && limit < n {
-		n = limit
 	}
 	lo, hi := s.pos, s.pos+n
 	s.pos = hi
@@ -655,38 +565,4 @@ func (s *batchSlice) nextBatch(limit int) *Batch {
 	s.out.sel = nil
 	s.out.n = n
 	return &s.out
-}
-
-// batchLimit bounds the stream to n rows, propagating the remaining
-// budget upstream so producers never over-pull (and never over-meter).
-type batchLimit struct {
-	in   batchIterator
-	left int
-}
-
-func (l *batchLimit) Schema() Schema { return l.in.Schema() }
-
-func (l *batchLimit) nextBatch(limit int) *Batch {
-	if l.left <= 0 {
-		return nil
-	}
-	budget := l.left
-	if limit > 0 && limit < budget {
-		budget = limit
-	}
-	b := l.in.nextBatch(budget)
-	if b == nil {
-		l.left = 0
-		return nil
-	}
-	// Upstream honors the budget, but clamp defensively.
-	if b.Len() > budget {
-		if b.sel != nil {
-			b.sel = b.sel[:budget]
-		} else {
-			b.n = budget
-		}
-	}
-	l.left -= b.Len()
-	return b
 }

@@ -18,33 +18,14 @@ type MaterializedView struct {
 	BuildUnits int64
 }
 
-// Catalog holds named tables, indexes and materialized views.
+// Catalog holds named materialized views.
 type Catalog struct {
-	tables map[string]*Table
-	views  map[string]*MaterializedView
+	views map[string]*MaterializedView
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		tables: make(map[string]*Table),
-		views:  make(map[string]*MaterializedView),
-	}
-}
-
-// AddTable registers a base table.
-func (c *Catalog) AddTable(t *Table) error {
-	if _, dup := c.tables[t.Name()]; dup {
-		return fmt.Errorf("engine: duplicate table %q", t.Name())
-	}
-	c.tables[t.Name()] = t
-	return nil
-}
-
-// Table returns a base table by name.
-func (c *Catalog) Table(name string) (*Table, bool) {
-	t, ok := c.tables[name]
-	return t, ok
+	return &Catalog{views: make(map[string]*MaterializedView)}
 }
 
 // AddView registers a materialized view.
@@ -65,15 +46,6 @@ func (c *Catalog) View(name string) (*MaterializedView, bool) {
 // DropView removes a materialized view (e.g. when its subscription ends).
 func (c *Catalog) DropView(name string) {
 	delete(c.views, name)
-}
-
-// ViewNames returns the registered view names (unordered).
-func (c *Catalog) ViewNames() []string {
-	names := make([]string, 0, len(c.views))
-	for n := range c.views {
-		names = append(names, n)
-	}
-	return names
 }
 
 // Materialize drains a query into a new view with a hash index on

@@ -50,10 +50,6 @@ func TestTableBasics(t *testing.T) {
 	if _, err := tbl.FloatCol("nope"); err == nil {
 		t.Error("FloatCol on missing column should fail")
 	}
-	// 3 numeric columns × 4 rows × 8 bytes + 12 bytes of names.
-	if got := tbl.SizeBytes(); got != 3*4*8+12 {
-		t.Errorf("SizeBytes = %d", got)
-	}
 }
 
 func TestTableAppendValidation(t *testing.T) {
@@ -101,6 +97,9 @@ func TestFilterProject(t *testing.T) {
 	}
 	if _, err := Scan(tbl, nil).FilterIntEq("ghost", 1).Rows(); err == nil {
 		t.Error("missing filter column accepted")
+	}
+	if _, err := Scan(tbl, nil).FilterIntEq("score", 0).Rows(); err == nil {
+		t.Error("float filter column accepted")
 	}
 	if _, err := Scan(tbl, nil).Project("ghost").Rows(); err == nil {
 		t.Error("missing project column accepted")
@@ -196,36 +195,38 @@ func TestGroupCountAndTop1(t *testing.T) {
 		t.Errorf("counts = %v", counts)
 	}
 
-	top, err := Scan(tbl, nil).GroupCount("age").Top1By("count").Rows()
+	top, ok, err := Scan(tbl, nil).GroupCount("age").Top1("count")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 1 || top[0][0].Int != 30 || top[0][1].Int != 2 {
-		t.Errorf("top = %v", top)
+	if !ok || top[0].Int != 30 || top[1].Int != 2 {
+		t.Errorf("top = %v, ok=%v", top, ok)
 	}
 }
 
 func TestTop1EmptyInput(t *testing.T) {
 	tbl := NewTable("empty", Schema{{Name: "x", Type: Int64}})
-	rows, err := Scan(tbl, nil).Top1By("x").Rows()
+	row, ok, err := Scan(tbl, nil).Top1("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 0 {
-		t.Errorf("rows = %v", rows)
+	if ok || row != nil {
+		t.Errorf("row = %v, ok=%v", row, ok)
 	}
 }
 
 func TestOrderByAndLimit(t *testing.T) {
 	tbl := testTable(t)
-	rows, err := Scan(tbl, nil).OrderByInt("age", true).Limit(2).Rows()
+	rows, err := Scan(tbl, nil).OrderByInt("age", true).Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0][1].Int != 40 || rows[1][1].Int != 30 {
+	// Stable: ann (id 1) stays ahead of cay (id 3) at age 30.
+	if len(rows) != 4 || rows[0][1].Int != 40 || rows[1][0].Int != 1 ||
+		rows[2][0].Int != 3 || rows[3][1].Int != 25 {
 		t.Errorf("rows = %v", rows)
 	}
-	asc, err := Scan(tbl, nil).OrderByInt("age", false).Limit(1).Rows()
+	asc, err := Scan(tbl, nil).OrderByInt("age", false).Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,19 +264,6 @@ func TestMeterArithmetic(t *testing.T) {
 func TestCatalog(t *testing.T) {
 	c := NewCatalog()
 	tbl := testTable(t)
-	if err := c.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTable(tbl); err == nil {
-		t.Error("duplicate table accepted")
-	}
-	if got, ok := c.Table("people"); !ok || got != tbl {
-		t.Error("Table lookup failed")
-	}
-	if _, ok := c.Table("ghost"); ok {
-		t.Error("ghost table found")
-	}
-
 	meter := NewMeter(DefaultCostModel())
 	mv, err := Materialize("by_age", Scan(tbl, meter).Project("age", "id"), "age", meter)
 	if err != nil {
@@ -292,9 +280,6 @@ func TestCatalog(t *testing.T) {
 	}
 	if v, ok := c.View("by_age"); !ok || v != mv {
 		t.Error("View lookup failed")
-	}
-	if len(c.ViewNames()) != 1 {
-		t.Errorf("ViewNames = %v", c.ViewNames())
 	}
 	c.DropView("by_age")
 	if _, ok := c.View("by_age"); ok {

@@ -2,20 +2,20 @@ package engine
 
 import "fmt"
 
-// Float64 grouped aggregation. Unlike the Int64 aggregates in
-// aggregate.go, float sums are not associative-commutative at the bit
-// level, so the parallel path may not merge per-worker partial sums: the
-// accumulation order would differ from serial execution and perturb the
-// low bits — and anything downstream of them, including figure CSVs.
-// Instead, a parallel plan drains the pipeline morsel-parallel (scans,
-// filters and probes still fan out) and then accumulates the merged rows
-// in morsel order — exactly the serial accumulation order — so the
-// output is byte-identical at any worker count, like every other sink.
+// Float64 grouped aggregation. Unlike GroupCount's int64 counts, float
+// sums are not associative-commutative at the bit level, so the parallel
+// path may not merge per-worker partial sums: the accumulation order
+// would differ from serial execution and perturb the low bits — and
+// anything downstream of them, including figure CSVs. Instead, a
+// parallel plan drains the pipeline morsel-parallel (scans, filters and
+// probes still fan out) and then accumulates the merged rows in morsel
+// order — exactly the serial accumulation order — so the output is
+// byte-identical at any worker count, like every other sink.
 
-// groupFloat64 drains the query and returns, per first-seen group of the
-// Int64 key column ki, the float64 sum over column ci and the member
-// count. Each input row charges one build unit, as in GroupCount.
-func (q *Query) groupFloat64(ki, ci int) (keys []int64, sums []float64, counts []int64) {
+// groupSumFloat64 drains the query and returns, per first-seen group of
+// the Int64 key column ki, the float64 sum over column ci. Each input row
+// charges one build unit, as in GroupCount.
+func (q *Query) groupSumFloat64(ki, ci int) (keys []int64, sums []float64) {
 	slots := make(map[int64]int)
 	accumulate := func(k int64, v float64) {
 		s, seen := slots[k]
@@ -24,10 +24,8 @@ func (q *Query) groupFloat64(ki, ci int) (keys []int64, sums []float64, counts [
 			slots[k] = s
 			keys = append(keys, k)
 			sums = append(sums, 0)
-			counts = append(counts, 0)
 		}
 		sums[s] += v
-		counts[s]++
 	}
 	if spec, par := q.parallelPlan(); spec != nil {
 		cols, rows := materializeParallel(spec, par, q.meter, q.it.Schema())
@@ -38,10 +36,10 @@ func (q *Query) groupFloat64(ki, ci int) (keys []int64, sums []float64, counts [
 		if q.meter != nil {
 			q.meter.RowsBuilt += int64(rows)
 		}
-		return keys, sums, counts
+		return keys, sums
 	}
 	for {
-		b := q.it.nextBatch(0)
+		b := q.it.nextBatch()
 		if b == nil {
 			break
 		}
@@ -53,24 +51,7 @@ func (q *Query) groupFloat64(ki, ci int) (keys []int64, sums []float64, counts [
 			q.meter.RowsBuilt += int64(b.Len())
 		}
 	}
-	return keys, sums, counts
-}
-
-// checkFloatGroup validates a float aggregation's key and value columns,
-// returning their indexes.
-func (q *Query) checkFloatGroup(op, key, col string) (ki, ci int) {
-	in := q.it.Schema()
-	ki = in.ColIndex(key)
-	if ki < 0 || in[ki].Type != Int64 {
-		q.err = fmt.Errorf("engine: %s: bad key column %q", op, key)
-		return -1, -1
-	}
-	ci = in.ColIndex(col)
-	if ci < 0 || in[ci].Type != Float64 {
-		q.err = fmt.Errorf("engine: %s: bad float column %q", op, col)
-		return -1, -1
-	}
-	return ki, ci
+	return keys, sums
 }
 
 // GroupSumFloat64 groups by an Int64 key column and sums a Float64
@@ -82,12 +63,18 @@ func (q *Query) GroupSumFloat64(key, col string) *Query {
 	if q.err != nil {
 		return q
 	}
-	ki, ci := q.checkFloatGroup("group sum float", key, col)
-	if q.err != nil {
+	in := q.it.Schema()
+	ki := in.ColIndex(key)
+	if ki < 0 || in[ki].Type != Int64 {
+		q.err = fmt.Errorf("engine: group sum float: bad key column %q", key)
 		return q
 	}
-	name := q.it.Schema()[ki].Name
-	keys, sums, _ := q.groupFloat64(ki, ci)
+	ci := in.ColIndex(col)
+	if ci < 0 || in[ci].Type != Float64 {
+		q.err = fmt.Errorf("engine: group sum float: bad float column %q", col)
+		return q
+	}
+	keys, sums := q.groupSumFloat64(ki, ci)
 	q.it = &batchSlice{
 		cols: []Vector{
 			{Kind: Int64, Ints: keys},
@@ -95,42 +82,8 @@ func (q *Query) GroupSumFloat64(key, col string) *Query {
 		},
 		rows: len(keys),
 		schema: Schema{
-			{Name: name, Type: Int64},
+			{Name: in[ki].Name, Type: Int64},
 			{Name: fmt.Sprintf("sum(%s)", col), Type: Float64},
-		},
-	}
-	q.spec = nil
-	return q
-}
-
-// GroupMeanFloat64 groups by an Int64 key column and averages a Float64
-// column per group: the per-group sum (accumulated in input row order)
-// divided once by the member count. The output schema is (key,
-// "mean(col)" Float64), in first-seen group order. Each input row
-// charges one build unit, as in GroupCount.
-func (q *Query) GroupMeanFloat64(key, col string) *Query {
-	if q.err != nil {
-		return q
-	}
-	ki, ci := q.checkFloatGroup("group mean float", key, col)
-	if q.err != nil {
-		return q
-	}
-	name := q.it.Schema()[ki].Name
-	keys, sums, counts := q.groupFloat64(ki, ci)
-	means := sums // reuse: one division per group, in place
-	for s := range means {
-		means[s] = sums[s] / float64(counts[s])
-	}
-	q.it = &batchSlice{
-		cols: []Vector{
-			{Kind: Int64, Ints: keys},
-			{Kind: Float64, Floats: means},
-		},
-		rows: len(keys),
-		schema: Schema{
-			{Name: name, Type: Int64},
-			{Name: fmt.Sprintf("mean(%s)", col), Type: Float64},
 		},
 	}
 	q.spec = nil

@@ -5,9 +5,8 @@ import "fmt"
 // HashIndex is an equality index over one Int64 column of a table,
 // mapping key → row positions.
 type HashIndex struct {
-	table  *Table
-	column string
-	m      map[int64][]int32
+	table *Table
+	m     map[int64][]int32
 }
 
 // BuildHashIndex constructs an index over the named Int64 column,
@@ -17,7 +16,7 @@ func BuildHashIndex(t *Table, column string, meter *Meter) (*HashIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: building index: %w", err)
 	}
-	idx := &HashIndex{table: t, column: column, m: make(map[int64][]int32, len(col))}
+	idx := &HashIndex{table: t, m: make(map[int64][]int32, len(col))}
 	for i, v := range col {
 		idx.m[v] = append(idx.m[v], int32(i))
 	}
@@ -29,9 +28,6 @@ func BuildHashIndex(t *Table, column string, meter *Meter) (*HashIndex, error) {
 
 // Table returns the indexed table.
 func (ix *HashIndex) Table() *Table { return ix.table }
-
-// Column returns the indexed column name.
-func (ix *HashIndex) Column() string { return ix.column }
 
 // Lookup returns the row positions with the given key, charging one probe
 // to the meter. The returned slice must not be modified.

@@ -2,12 +2,12 @@ package engine
 
 // Morsel-driven parallel execution (Leis et al., SIGMOD 2014), adapted to
 // the batch engine: a query whose pipeline is rooted at a table scan and
-// composed only of streamable operators (Filter, Project, hash/index join
-// probes) can be fanned out over fixed-size scan morsels to
+// composed only of streamable operators (FilterIntEq, Project, hash/index
+// join probes) can be fanned out over fixed-size scan morsels to
 // WithParallelism(n) workers. Each worker instantiates its own copy of
 // the pipeline with a private Meter, claims morsels from an atomic
-// counter, and drains them; pipeline breakers (hash build, grouped
-// aggregation, Top1, sort, Rows/ForEachBatch) merge the per-morsel
+// counter, and drains them; pipeline breakers (hash build, GroupCount,
+// GroupSumFloat64, Top1, sort, Rows/ForEachBatch) merge the per-morsel
 // partials deterministically by morsel index and fold the worker meters
 // into the query's meter with Meter.Add.
 //
@@ -17,9 +17,6 @@ package engine
 // coordinate, parallel execution produces byte-identical rows — and,
 // since the same rows flow through the same charge points, identical
 // folded Meter counts — as serial execution at any worker count.
-// Pipelines under an active row budget (below a Limit) always run
-// serially: early-exit metering is defined by serial pull order, so
-// parallelizing it would change what a query is charged.
 
 import (
 	"math/bits"
@@ -37,8 +34,7 @@ const morselSize = batchSize
 type stageKind int
 
 const (
-	stageFilter stageKind = iota
-	stageFilterIntEq
+	stageFilterIntEq stageKind = iota
 	stageProject
 	stageHashJoin
 	stageIndexJoin
@@ -50,10 +46,8 @@ const (
 type pipeStage struct {
 	kind stageKind
 
-	pred func(Row) bool // stageFilter: must be pure (called concurrently)
-
-	intEq int // stageFilterIntEq
-	eqVal int64
+	col int // stageFilterIntEq
+	val int64
 
 	idx    []int  // stageProject
 	schema Schema // stageProject / stageHashJoin / stageIndexJoin output
@@ -104,7 +98,7 @@ func (s *morselScan) reset(lo, hi int) { s.pos, s.end = lo, hi }
 
 func (s *morselScan) Schema() Schema { return s.t.Schema() }
 
-func (s *morselScan) nextBatch(limit int) *Batch {
+func (s *morselScan) nextBatch() *Batch {
 	remaining := s.end - s.pos
 	if remaining <= 0 {
 		return nil
@@ -112,9 +106,6 @@ func (s *morselScan) nextBatch(limit int) *Batch {
 	n := batchSize
 	if remaining < n {
 		n = remaining
-	}
-	if limit > 0 && limit < n {
-		n = limit
 	}
 	lo, hi := s.pos, s.pos+n
 	s.pos = hi
@@ -152,10 +143,8 @@ func (s *pipeSpec) newPipe(meter *Meter) (*morselScan, batchIterator) {
 	for i := range s.stages {
 		st := &s.stages[i]
 		switch st.kind {
-		case stageFilter:
-			it = &batchFilter{in: it, intEq: -1, pred: st.pred}
 		case stageFilterIntEq:
-			it = &batchFilter{in: it, intEq: st.intEq, eqVal: st.eqVal}
+			it = &batchFilter{in: it, col: st.col, val: st.val}
 		case stageProject:
 			it = &batchProject{in: it, idx: st.idx, schema: st.schema}
 		case stageHashJoin:
@@ -217,7 +206,7 @@ func runMorsels(spec *pipeSpec, par int, meter *Meter, emit func(worker, morsel 
 				}
 				scan.reset(lo, hi)
 				for {
-					b := it.nextBatch(0)
+					b := it.nextBatch()
 					if b == nil {
 						break
 					}
@@ -518,30 +507,25 @@ func (c *coordTracker) next(morsel int) coord {
 	return uint64(morsel)<<40 | r
 }
 
-// groupPartial is one worker's aggregation state: per-group accumulators
-// plus the coordinate of each group's first occurrence.
-type groupPartial struct {
+// countPartial is one worker's GroupCount state: per-group counts plus
+// the coordinate of each group's first occurrence.
+type countPartial struct {
 	slots  map[int64]int
 	keys   []int64
 	coords []coord
-	accs   [][]int64
+	counts []int64
 	tr     coordTracker
 }
 
-// parallelGroupAgg runs hash aggregation morsel-parallel: each worker
-// aggregates its morsels into a private partial, then the partials are
-// merged (count/sum added, min/max folded) and the merged groups are
-// ordered by first-occurrence coordinate — the serial first-seen order.
-// ki is the key column; cols[a] is the input column of aggs[a]. Each
-// input row charges one build unit, as in the serial sinks.
-func parallelGroupAgg(spec *pipeSpec, par int, meter *Meter, ki int, aggs []Aggregation, cols []int) ([]int64, [][]int64) {
-	parts := make([]groupPartial, par)
+// parallelGroupCount runs GroupCount morsel-parallel on key column ki:
+// each worker counts its morsels into a private partial, then the
+// partials' counts are added and the merged groups are ordered by
+// first-occurrence coordinate — the serial first-seen order. Each input
+// row charges one build unit, as in the serial sink.
+func parallelGroupCount(spec *pipeSpec, par int, meter *Meter, ki int) ([]int64, []int64) {
+	parts := make([]countPartial, par)
 	for w := range parts {
-		parts[w] = groupPartial{
-			slots: make(map[int64]int),
-			accs:  make([][]int64, len(aggs)),
-			tr:    coordTracker{lastMorsel: -1},
-		}
+		parts[w] = countPartial{slots: make(map[int64]int), tr: coordTracker{lastMorsel: -1}}
 	}
 	runMorsels(spec, par, meter, func(w, m int, b *Batch, wm *Meter) {
 		p := &parts[w]
@@ -555,75 +539,33 @@ func parallelGroupAgg(spec *pipeSpec, par int, meter *Meter, ki int, aggs []Aggr
 				p.slots[k] = s
 				p.keys = append(p.keys, k)
 				p.coords = append(p.coords, at)
-				for a := range p.accs {
-					init := int64(0)
-					switch aggs[a].Func {
-					case AggMin, AggMax:
-						init = b.cols[cols[a]].Ints[pos]
-					}
-					p.accs[a] = append(p.accs[a], init)
-				}
+				p.counts = append(p.counts, 0)
 			}
-			for a, agg := range aggs {
-				switch agg.Func {
-				case AggCount:
-					p.accs[a][s]++
-				case AggSum:
-					p.accs[a][s] += b.cols[cols[a]].Ints[pos]
-				case AggMin:
-					if v := b.cols[cols[a]].Ints[pos]; v < p.accs[a][s] {
-						p.accs[a][s] = v
-					}
-				case AggMax:
-					if v := b.cols[cols[a]].Ints[pos]; v > p.accs[a][s] {
-						p.accs[a][s] = v
-					}
-				}
-			}
+			p.counts[s]++
 		})
 		if wm != nil {
 			wm.RowsBuilt += int64(b.Len())
 		}
 	})
 
-	// Merge worker partials. AggMin/AggMax partials were initialized from
-	// a real first value, so folding min-of-mins / max-of-maxes is exact;
-	// counts and sums add.
 	gSlots := make(map[int64]int)
-	var gKeys []int64
+	var gKeys, gCounts []int64
 	var gCoords []coord
-	gAccs := make([][]int64, len(aggs))
 	for w := range parts {
 		p := &parts[w]
 		for s, k := range p.keys {
 			g, seen := gSlots[k]
 			if !seen {
-				g = len(gKeys)
-				gSlots[k] = g
+				gSlots[k] = len(gKeys)
 				gKeys = append(gKeys, k)
 				gCoords = append(gCoords, p.coords[s])
-				for a := range gAccs {
-					gAccs[a] = append(gAccs[a], p.accs[a][s])
-				}
+				gCounts = append(gCounts, p.counts[s])
 				continue
 			}
 			if p.coords[s] < gCoords[g] {
 				gCoords[g] = p.coords[s]
 			}
-			for a, agg := range aggs {
-				switch agg.Func {
-				case AggCount, AggSum:
-					gAccs[a][g] += p.accs[a][s]
-				case AggMin:
-					if p.accs[a][s] < gAccs[a][g] {
-						gAccs[a][g] = p.accs[a][s]
-					}
-				case AggMax:
-					if p.accs[a][s] > gAccs[a][g] {
-						gAccs[a][g] = p.accs[a][s]
-					}
-				}
-			}
+			gCounts[g] += p.counts[s]
 		}
 	}
 
@@ -635,58 +577,44 @@ func parallelGroupAgg(spec *pipeSpec, par int, meter *Meter, ki int, aggs []Aggr
 	}
 	sort.Slice(perm, func(a, b int) bool { return gCoords[perm[a]] < gCoords[perm[b]] })
 	keys := make([]int64, len(gKeys))
-	accs := make([][]int64, len(aggs))
-	for a := range accs {
-		accs[a] = make([]int64, len(gKeys))
-	}
+	counts := make([]int64, len(gKeys))
 	for out, g := range perm {
 		keys[out] = gKeys[g]
-		for a := range accs {
-			accs[a][out] = gAccs[a][g]
-		}
+		counts[out] = gCounts[g]
 	}
-	return keys, accs
+	return keys, counts
 }
 
-// top1Partial is one worker's running best row for Top1/Top1By.
+// top1Partial is one worker's running best row for Top1.
 type top1Partial struct {
 	found bool
 	val   int64
 	at    coord
-	best  []Vector // single-row copy of the best row
+	best  Row
 	tr    coordTracker
 }
 
 // parallelTop1 finds the row with the largest Int64 value in column i,
 // breaking ties by earliest coordinate — the serial first-seen rule.
-// It returns the winning row's columns as single-row vectors.
-func parallelTop1(spec *pipeSpec, par int, meter *Meter, schema Schema, i int) ([]Vector, bool) {
+func parallelTop1(spec *pipeSpec, par int, meter *Meter, width, i int) (Row, bool) {
 	parts := make([]top1Partial, par)
 	for w := range parts {
-		parts[w] = top1Partial{tr: coordTracker{lastMorsel: -1}}
+		parts[w] = top1Partial{best: make(Row, width), tr: coordTracker{lastMorsel: -1}}
 	}
 	runMorsels(spec, par, meter, func(w, m int, b *Batch, _ *Meter) {
 		p := &parts[w]
-		if p.best == nil {
-			p.best = make([]Vector, len(schema))
-			for c, col := range schema {
-				p.best[c].Kind = col.Type
-			}
-		}
 		vec := b.cols[i].Ints
 		b.forEachActive(func(pos int) {
 			at := p.tr.next(m)
 			v := vec[pos]
 			// Within a worker coordinates increase, so strict > keeps the
-			// earliest row among equals, as serial Top1By does.
+			// earliest row among equals, as the serial Top1 does.
 			if p.found && v <= p.val {
 				return
 			}
 			p.found, p.val, p.at = true, v, at
 			for c := range p.best {
-				bv := &p.best[c]
-				bv.Ints, bv.Floats, bv.Strs = bv.Ints[:0], bv.Floats[:0], bv.Strs[:0]
-				appendValue(bv, &b.cols[c], pos)
+				p.best[c] = b.cols[c].datum(pos)
 			}
 		})
 	})

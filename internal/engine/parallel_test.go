@@ -51,7 +51,7 @@ func assertSameRowsAndMeter(t *testing.T, label string, got []Row, gm *Meter, wa
 // The scheduler must produce identical rows and meters at every worker
 // count from 1 through 8 — including counts above GOMAXPROCS and above
 // the morsel count. Run with -race this also exercises the per-worker
-// pipeline isolation (scratch rows, join cursors, meters).
+// pipeline isolation (selection buffers, join cursors, meters).
 func TestParallelWorkerSweep(t *testing.T) {
 	a, b := bigJoinTables(11, 9*morselSize+137, 300)
 	serialMeter := NewMeter(DefaultCostModel())
@@ -78,19 +78,19 @@ func TestParallelWorkerSweep(t *testing.T) {
 // and tables landing exactly on morsel boundaries.
 func TestParallelMorselEdgeCases(t *testing.T) {
 	for _, rows := range []int{0, 1, 7, morselSize - 1, morselSize, morselSize + 1, 2 * morselSize} {
-		a := NewTable("a", Schema{{Name: "k", Type: Int64}, {Name: "v", Type: Int64}})
+		a := NewTable("a", Schema{{Name: "k", Type: Int64}, {Name: "odd", Type: Int64}})
 		for i := 0; i < rows; i++ {
-			a.MustAppend(Row{I(int64(i % 5)), I(int64(i))})
+			a.MustAppend(Row{I(int64(i % 5)), I(int64(i % 2))})
 		}
 		sm := NewMeter(DefaultCostModel())
-		want, err := Scan(a, sm).Filter(func(r Row) bool { return r[1].Int%2 == 0 }).GroupCount("k").Rows()
+		want, err := Scan(a, sm).FilterIntEq("odd", 0).GroupCount("k").Rows()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 4, 8} {
 			pm := NewMeter(DefaultCostModel())
 			got, err := Scan(a, pm).WithParallelism(par).
-				Filter(func(r Row) bool { return r[1].Int%2 == 0 }).GroupCount("k").Rows()
+				FilterIntEq("odd", 0).GroupCount("k").Rows()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,32 +99,8 @@ func TestParallelMorselEdgeCases(t *testing.T) {
 	}
 }
 
-// A row budget (Limit) must force the serial path: early-exit pulls —
-// and the meter counts they generate — are defined by serial pull order,
-// and a parallel query must charge exactly the same.
-func TestParallelBudgetEarlyExit(t *testing.T) {
-	a, b := bigJoinTables(13, 5*morselSize, 200)
-	for _, limit := range []int{0, 1, 17, morselSize, 3 * morselSize} {
-		sm := NewMeter(DefaultCostModel())
-		want, err := Scan(a, sm).HashJoin(Scan(b, sm), "k", "k").Limit(limit).Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pm := NewMeter(DefaultCostModel())
-		got, err := Scan(a, pm).WithParallelism(4).
-			HashJoin(Scan(b, pm).WithParallelism(4), "k", "k").Limit(limit).Rows()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The build side still drains in parallel (it is not under the
-		// budget); only the probe pipeline must fall back to serial
-		// early-exit pulls.
-		assertSameRowsAndMeter(t, fmt.Sprintf("limit=%d", limit), got, pm, want, sm)
-	}
-}
-
 // Order-sensitive sinks must merge worker partials back into serial
-// order: OrderByInt's stable sort and Top1By's first-seen tie-break both
+// order: OrderByInt's stable sort and Top1's first-seen tie-break both
 // depend on the merged morsel order being exactly the scan order.
 func TestParallelOrderSensitiveSinks(t *testing.T) {
 	a, _ := bigJoinTables(17, 6*morselSize+55, 1)
@@ -142,31 +118,31 @@ func TestParallelOrderSensitiveSinks(t *testing.T) {
 		assertSameRowsAndMeter(t, fmt.Sprintf("order-by par=%d", par), got, pm, want, sm)
 
 		sm2 := NewMeter(DefaultCostModel())
-		wantTop, err := Scan(a, sm2).Top1By("k").Rows()
+		wantTop, _, err := Scan(a, sm2).Top1("k")
 		if err != nil {
 			t.Fatal(err)
 		}
 		pm2 := NewMeter(DefaultCostModel())
-		gotTop, err := Scan(a, pm2).WithParallelism(par).Top1By("k").Rows()
+		gotTop, _, err := Scan(a, pm2).WithParallelism(par).Top1("k")
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRowsAndMeter(t, fmt.Sprintf("top1 par=%d", par), gotTop, pm2, wantTop, sm2)
+		assertSameRowsAndMeter(t, fmt.Sprintf("top1 par=%d", par), []Row{gotTop}, pm2, []Row{wantTop}, sm2)
 	}
 }
 
-// Top1 is the batch-native shortcut for Top1By(col).Rows(): same row,
-// same found flag, same meter counts — serial and parallel.
+// Top1 returns the row the reference's Top1By(col).Rows() returns, with
+// the same found flag and the same meter counts — serial and parallel.
 func TestTop1MatchesTop1ByRows(t *testing.T) {
 	r := stats.NewRNG(19)
 	for trial := 0; trial < 60; trial++ {
 		a := randomMixedTable(r, "a", 2*morselSize)
+		vm := NewMeter(DefaultCostModel())
+		viaRows, err := refScan(a, vm).Top1By("v").Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, par := range []int{1, 4} {
-			vm := NewMeter(DefaultCostModel())
-			viaRows, err := Scan(a, vm).WithParallelism(par).Top1By("v").Rows()
-			if err != nil {
-				t.Fatal(err)
-			}
 			tm := NewMeter(DefaultCostModel())
 			row, ok, err := Scan(a, tm).WithParallelism(par).Top1("v")
 			if err != nil {
@@ -345,27 +321,25 @@ func TestPartitionedBuildRedrainIsEmptyAndFree(t *testing.T) {
 }
 
 // A build side that did NOT opt into parallelism must stay serial even
-// when the probe side is parallel — its predicates made no purity
-// promise. The sides' results and meters still match an all-serial run.
+// when the probe side is parallel: each side's WithParallelism governs
+// its own pipeline. The serial build drains its own iterator chain (a
+// parallel drain would have dropped the build query's morsel plan), and
+// results and meters still match an all-serial run.
 func TestSerialBuildSideNotEscalated(t *testing.T) {
 	a, b := bigJoinTables(43, 3*morselSize, 2*morselSize)
-	calls := 0
-	impure := func(r Row) bool { calls++; return r[0].Int%2 == 0 } // not race-safe on purpose
 	sm := NewMeter(DefaultCostModel())
-	want, err := Scan(a, sm).HashJoin(Scan(b, sm).Filter(impure), "k", "k").GroupCount("k").Rows()
+	want, err := Scan(a, sm).HashJoin(Scan(b, sm).FilterIntEq("k", 7), "k", "k").GroupCount("k").Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialCalls := calls
-	calls = 0
 	pm := NewMeter(DefaultCostModel())
-	got, err := Scan(a, pm).WithParallelism(4).
-		HashJoin(Scan(b, pm).Filter(impure), "k", "k").GroupCount("k").Rows()
+	build := Scan(b, pm).FilterIntEq("k", 7)
+	got, err := Scan(a, pm).WithParallelism(4).HashJoin(build, "k", "k").GroupCount("k").Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != serialCalls {
-		t.Fatalf("impure build predicate called %d times, serial %d", calls, serialCalls)
+	if build.spec == nil {
+		t.Fatal("serial build side was drained by the parallel path")
 	}
 	assertSameRowsAndMeter(t, "serial-build", got, pm, want, sm)
 }
@@ -375,7 +349,7 @@ func TestSerialBuildSideNotEscalated(t *testing.T) {
 // parallel plans take the radix-partitioned path, and the dense duplicate
 // keys make any chain-order deviation visible in the probe output. Rows
 // and meters are compared against the row-at-a-time reference in
-// rowref.go at n ∈ {2, 4, 8}.
+// rowref_test.go at n ∈ {2, 4, 8}.
 func TestPartitionedBuildMatchesRowReference(t *testing.T) {
 	r := stats.NewRNG(47)
 	probe := NewTable("p", Schema{{Name: "k", Type: Int64}, {Name: "v", Type: Int64}})
@@ -409,7 +383,7 @@ func TestPartitionedBuildMatchesRowReference(t *testing.T) {
 // the input exceeds parallelSortMinRows so parallel plans take the
 // chunked sort + pairwise merge path, and the narrow key range forces
 // long runs of equal keys whose relative order (stability) any merge
-// mistake would scramble. Compared against rowref.go at n ∈ {2, 4, 8},
+// mistake would scramble. Compared against rowref_test.go at n ∈ {2, 4, 8},
 // both directions.
 func TestParallelMergeSortMatchesRowReference(t *testing.T) {
 	r := stats.NewRNG(53)

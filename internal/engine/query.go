@@ -7,9 +7,11 @@ import (
 )
 
 // Query is a fluent builder over columnar batch operators (see batch.go).
-// Construction errors are carried along and surfaced by Rows, so call
-// chains stay linear. The row-at-a-time reference implementation the
-// batch operators are differentially tested against lives in rowref.go.
+// Scan starts a query; FilterIntEq, Project, HashJoin and IndexJoin
+// stream; GroupCount, GroupSumFloat64 and OrderByInt materialize; Rows,
+// ForEachBatch and Top1 drain it. Construction errors are carried along
+// and surfaced by the drain, so call chains stay linear. The tests hold
+// every operator to a row-at-a-time reference executor (rowref_test.go).
 type Query struct {
 	it    batchIterator
 	meter *Meter
@@ -39,11 +41,7 @@ func Scan(t *Table, meter *Meter) *Query {
 // workers for the query's pipeline breakers (n <= 0 means GOMAXPROCS;
 // n == 1, the default, keeps the serial path). Output rows and Meter
 // counts are byte-identical to serial execution at any n — see
-// parallel.go for the determinism contract. Filter predicates of a
-// parallel query must be pure: they are invoked concurrently from
-// multiple workers (each with its own scratch Row). Pipelines under a
-// row budget (below a Limit) ignore the setting and run serially, since
-// early-exit metering is defined by serial pull order.
+// parallel.go for the determinism contract.
 func (q *Query) WithParallelism(n int) *Query {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -52,39 +50,20 @@ func (q *Query) WithParallelism(n int) *Query {
 	return q
 }
 
-// Filter keeps rows satisfying pred. The Row passed to pred is a scratch
-// buffer reused across calls; predicates must not retain it.
-func (q *Query) Filter(pred func(Row) bool) *Query {
-	if q.err != nil {
-		return q
-	}
-	q.it = &batchFilter{in: q.it, intEq: -1, pred: pred}
-	q.addStage(pipeStage{kind: stageFilter, pred: pred})
-	return q
-}
-
-// FilterIntEq keeps rows whose Int64 column equals v. Unlike Filter it
-// runs columnar: the predicate is evaluated directly against the int64
-// vector, with no per-row materialization.
+// FilterIntEq keeps rows whose Int64 column equals v. It runs columnar:
+// the comparison reads the int64 vector directly and narrows the
+// selection vector, with no per-row materialization.
 func (q *Query) FilterIntEq(col string, v int64) *Query {
 	if q.err != nil {
 		return q
 	}
 	i := q.it.Schema().ColIndex(col)
-	if i < 0 {
-		q.err = fmt.Errorf("engine: filter: no column %q", col)
+	if i < 0 || q.it.Schema()[i].Type != Int64 {
+		q.err = fmt.Errorf("engine: filter: bad column %q", col)
 		return q
 	}
-	if q.it.Schema()[i].Type != Int64 {
-		// Match the reference's Datum semantics: a non-int column's Int
-		// field is always zero.
-		pred := func(r Row) bool { return r[i].Int == v }
-		q.it = &batchFilter{in: q.it, intEq: -1, pred: pred}
-		q.addStage(pipeStage{kind: stageFilter, pred: pred})
-		return q
-	}
-	q.it = &batchFilter{in: q.it, intEq: i, eqVal: v}
-	q.addStage(pipeStage{kind: stageFilterIntEq, intEq: i, eqVal: v})
+	q.it = &batchFilter{in: q.it, col: i, val: v}
+	q.addStage(pipeStage{kind: stageFilterIntEq, col: i, val: v})
 	return q
 }
 
@@ -158,14 +137,12 @@ func (q *Query) HashJoin(build *Query, probeCol, buildCol string) *Query {
 		q.err = fmt.Errorf("engine: hash join: bad build column %q", buildCol)
 		return q
 	}
-	// Drain the build side morsel-parallel when the build query itself
-	// opted in (its own WithParallelism governs its pipeline — a serial
-	// build side must never be escalated, since its predicates made no
-	// purity promise); the hash table is then populated sequentially from
-	// the merged rows, so probe chains are threaded in exactly serial
-	// build order. Charges split as in serial: the build pipeline's
-	// scan/probe units go to the build query's meter, the per-row build
-	// units to this query's meter.
+	// Drain the build side morsel-parallel only when the build query
+	// itself opted in: its own WithParallelism governs its pipeline. The
+	// hash table is populated from the rows merged in morsel order, so
+	// probe chains are threaded in exactly serial build order. Charges
+	// split as in serial: the build pipeline's scan/probe units go to the
+	// build query's meter, the per-row build units to this query's meter.
 	var bs *buildSide
 	if spec, par := build.parallelPlan(); spec != nil {
 		bs = materializeBuildParallel(spec, par, bi, build.meter, q.meter, bSchema)
@@ -227,13 +204,11 @@ func (q *Query) GroupCount(col string) *Query {
 	}
 	var keys, counts []int64
 	if spec, par := q.parallelPlan(); spec != nil {
-		ks, accs := parallelGroupAgg(spec, par, q.meter, i,
-			[]Aggregation{{Func: AggCount}}, []int{i})
-		keys, counts = ks, accs[0]
+		keys, counts = parallelGroupCount(spec, par, q.meter, i)
 	} else {
 		slots := make(map[int64]int)
 		for {
-			b := q.it.nextBatch(0)
+			b := q.it.nextBatch()
 			if b == nil {
 				break
 			}
@@ -267,28 +242,6 @@ func (q *Query) GroupCount(col string) *Query {
 	return q
 }
 
-// Top1By keeps the single row with the largest Int64 value in the named
-// column (ties: first seen). The result has zero or one row.
-func (q *Query) Top1By(col string) *Query {
-	if q.err != nil {
-		return q
-	}
-	schema := q.it.Schema()
-	i := schema.ColIndex(col)
-	if i < 0 || schema[i].Type != Int64 {
-		q.err = fmt.Errorf("engine: top1: bad column %q", col)
-		return q
-	}
-	best, found := q.drainTop1(schema, i)
-	rows := 0
-	if found {
-		rows = 1
-	}
-	q.it = &batchSlice{cols: best, rows: rows, schema: schema}
-	q.spec = nil
-	return q
-}
-
 // markDrained replaces the query's plan with an exhausted iterator, so a
 // second drain of a parallel query behaves exactly like a second drain
 // of serial iterators: empty result, zero meter charges.
@@ -297,49 +250,11 @@ func (q *Query) markDrained() {
 	q.spec = nil
 }
 
-// drainTop1 fully drains the query and returns the best row (largest
-// Int64 in column i, ties to the first seen) as single-row vectors,
-// running morsel-parallel when the plan allows.
-func (q *Query) drainTop1(schema Schema, i int) ([]Vector, bool) {
-	if spec, par := q.parallelPlan(); spec != nil {
-		best, found := parallelTop1(spec, par, q.meter, schema, i)
-		q.markDrained()
-		return best, found
-	}
-	best := make([]Vector, len(schema))
-	for c := range best {
-		best[c].Kind = schema[c].Type
-	}
-	found := false
-	var bestVal int64
-	for {
-		b := q.it.nextBatch(0)
-		if b == nil {
-			break
-		}
-		vec := b.cols[i].Ints
-		b.forEachActive(func(pos int) {
-			v := vec[pos]
-			if found && v <= bestVal {
-				return
-			}
-			found, bestVal = true, v
-			for c := range best {
-				bv := &best[c]
-				bv.Ints, bv.Floats, bv.Strs = bv.Ints[:0], bv.Floats[:0], bv.Strs[:0]
-				appendValue(bv, &b.cols[c], pos)
-			}
-		})
-	}
-	return best, found
-}
-
 // Top1 drains the query and returns the single row with the largest
 // Int64 value in the named column (ties: first seen), or ok=false when
-// the query is empty. It is the batch-native shortcut for
-// Top1By(col).Rows(): the winning row is materialized directly — no
-// intermediate result set — and it charges exactly the same meter counts
-// (one emit unit when a row is returned).
+// the query is empty. Only the winning row is materialized, and it is
+// charged as one emitted row: the same counts as keeping that row with a
+// row-at-a-time top-1 operator and draining it with Rows.
 func (q *Query) Top1(col string) (Row, bool, error) {
 	if q.err != nil {
 		return nil, false, q.err
@@ -349,13 +264,32 @@ func (q *Query) Top1(col string) (Row, bool, error) {
 	if i < 0 || schema[i].Type != Int64 {
 		return nil, false, fmt.Errorf("engine: top1: bad column %q", col)
 	}
-	best, found := q.drainTop1(schema, i)
+	var row Row
+	found := false
+	if spec, par := q.parallelPlan(); spec != nil {
+		row, found = parallelTop1(spec, par, q.meter, len(schema), i)
+		q.markDrained()
+	} else {
+		row = make(Row, len(schema))
+		var bestVal int64
+		for {
+			b := q.it.nextBatch()
+			if b == nil {
+				break
+			}
+			vec := b.cols[i].Ints
+			b.forEachActive(func(pos int) {
+				if v := vec[pos]; !found || v > bestVal {
+					found, bestVal = true, v
+					for c := range row {
+						row[c] = b.cols[c].datum(pos)
+					}
+				}
+			})
+		}
+	}
 	if !found {
 		return nil, false, nil
-	}
-	row := make(Row, len(schema))
-	for c := range best {
-		row[c] = best[c].datum(0)
 	}
 	if q.meter != nil {
 		q.meter.RowsEmitted++
@@ -392,7 +326,7 @@ func (q *Query) OrderByInt(col string, desc bool) *Query {
 			flat[c].Kind = schema[c].Type
 		}
 		for {
-			b := q.it.nextBatch(0)
+			b := q.it.nextBatch()
 			if b == nil {
 				break
 			}
@@ -423,20 +357,6 @@ func (q *Query) OrderByInt(col string, desc bool) *Query {
 		}
 	}
 	q.it = &batchSlice{cols: sorted, rows: rows, schema: schema}
-	q.spec = nil
-	return q
-}
-
-// Limit keeps the first n rows, propagating the remaining row budget
-// upstream so producers pull (and meter) exactly the rows a row-at-a-time
-// engine would have. A limited pipeline always executes serially: the
-// rows an early exit pulls — and therefore meters — are defined by
-// serial pull order.
-func (q *Query) Limit(n int) *Query {
-	if q.err != nil {
-		return q
-	}
-	q.it = &batchLimit{in: q.it, left: n}
 	q.spec = nil
 	return q
 }
@@ -473,7 +393,7 @@ func (q *Query) Rows() ([]Row, error) {
 	}
 	var out []Row
 	for {
-		b := q.it.nextBatch(0)
+		b := q.it.nextBatch()
 		if b == nil {
 			break
 		}
@@ -497,12 +417,11 @@ func (q *Query) Rows() ([]Row, error) {
 
 // ForEachBatch drains the query batch-at-a-time, charging one emit unit
 // per output row — the batch-native alternative to Rows for hot callers.
-// The batch passed to fn is valid only for the duration of the call.
-// When fn returns an error, a serial query stops pulling (and metering)
-// upstream work; under a parallel plan the full pipeline has already
-// executed and been metered by then, so callers that stop early via fn
-// errors and depend on the remainder staying unbilled must not enable
-// WithParallelism on the query they drain this way.
+// The batch passed to fn is valid only for the duration of the call. An
+// error from fn ends the drain and is returned. A serial query has then
+// metered only the upstream work behind the batches it delivered; a
+// parallel query runs and meters its whole pipeline before fn first
+// sees a batch.
 func (q *Query) ForEachBatch(fn func(*Batch) error) error {
 	if q.err != nil {
 		return q.err
@@ -511,17 +430,13 @@ func (q *Query) ForEachBatch(fn func(*Batch) error) error {
 	if spec, par := q.parallelPlan(); spec != nil {
 		// The whole result set is merged before the first callback: a
 		// parallel ForEachBatch trades the serial path's one-batch memory
-		// peak for O(result) intermediate storage, and the pipeline's
-		// scan/probe charges all land before fn first runs. Callers with
-		// results too big for that — or that stop early by returning an
-		// error and rely on the unpulled remainder staying unmetered —
-		// should stay serial.
+		// peak for O(result) intermediate storage.
 		cols, rows := materializeParallel(spec, par, q.meter, q.it.Schema())
 		it = &batchSlice{cols: cols, rows: rows, schema: q.it.Schema()}
 		q.markDrained()
 	}
 	for {
-		b := it.nextBatch(0)
+		b := it.nextBatch()
 		if b == nil {
 			return nil
 		}

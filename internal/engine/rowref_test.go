@@ -6,12 +6,12 @@ import (
 )
 
 // Row-at-a-time reference implementation. This is the engine's original
-// Volcano-style executor, retained verbatim as the executable
-// specification of both row output (order and values) and the metering
-// contract: the property tests in property_test.go assert that the
-// columnar batch operators produce byte-identical rows and identical
-// Meter counts against it on randomized inputs. It is not used on any
-// production path.
+// Volcano-style executor, kept as the executable specification of both
+// row output (order and values) and the metering contract: the property
+// tests in property_test.go and parallel_test.go assert that the columnar
+// batch operators, serial and morsel-parallel, produce byte-identical
+// rows and identical Meter counts against it on randomized inputs.
+// refQuery.Top1By followed by Rows is the reference for Query.Top1.
 
 // Iterator is a pull-based row stream — the reference execution
 // contract.
@@ -55,21 +55,13 @@ func (s *refScanIter) Next() (Row, bool) {
 	return row, true
 }
 
-func (q *refQuery) Filter(pred func(Row) bool) *refQuery {
-	if q.err != nil {
-		return q
-	}
-	q.it = &refFilterIter{in: q.it, pred: pred}
-	return q
-}
-
 func (q *refQuery) FilterIntEq(col string, v int64) *refQuery {
 	if q.err != nil {
 		return q
 	}
 	i := q.it.Schema().ColIndex(col)
-	if i < 0 {
-		q.err = fmt.Errorf("engine: filter: no column %q", col)
+	if i < 0 || q.it.Schema()[i].Type != Int64 {
+		q.err = fmt.Errorf("engine: filter: bad column %q", col)
 		return q
 	}
 	q.it = &refFilterIter{in: q.it, pred: func(r Row) bool { return r[i].Int == v }}
@@ -286,97 +278,25 @@ func (q *refQuery) GroupCount(col string) *refQuery {
 	return q
 }
 
-// GroupBy is the reference grouped aggregation, mirroring Query.GroupBy.
-func (q *refQuery) GroupBy(key string, aggs ...Aggregation) *refQuery {
+// GroupSumFloat64 is the reference twin of Query.GroupSumFloat64: per
+// first-seen group, the float sum accumulated in row order.
+func (q *refQuery) GroupSumFloat64(key, col string) *refQuery {
 	if q.err != nil {
-		return q
-	}
-	if len(aggs) == 0 {
-		q.err = fmt.Errorf("engine: group by: no aggregations")
 		return q
 	}
 	in := q.it.Schema()
 	ki := in.ColIndex(key)
 	if ki < 0 || in[ki].Type != Int64 {
-		q.err = fmt.Errorf("engine: group by: bad key column %q", key)
+		q.err = fmt.Errorf("engine: group sum float: bad key column %q", key)
 		return q
 	}
-	cols := make([]int, len(aggs))
-	outSchema := Schema{{Name: in[ki].Name, Type: Int64}}
-	for a, agg := range aggs {
-		name := "count"
-		if agg.Func != AggCount {
-			ci := in.ColIndex(agg.Col)
-			if ci < 0 || in[ci].Type != Int64 {
-				q.err = fmt.Errorf("engine: group by: bad aggregate column %q", agg.Col)
-				return q
-			}
-			cols[a] = ci
-			name = fmt.Sprintf("%s(%s)", agg.Func, agg.Col)
-		}
-		outSchema = append(outSchema, Column{Name: name, Type: Int64})
+	ci := in.ColIndex(col)
+	if ci < 0 || in[ci].Type != Float64 {
+		q.err = fmt.Errorf("engine: group sum float: bad float column %q", col)
+		return q
 	}
-
-	type groupState struct {
-		accs []int64
-		seen bool
-	}
-	groups := make(map[int64]*groupState)
-	order := make([]int64, 0)
-	for {
-		row, ok := q.it.Next()
-		if !ok {
-			break
-		}
-		k := row[ki].Int
-		g := groups[k]
-		if g == nil {
-			g = &groupState{accs: make([]int64, len(aggs))}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for a, agg := range aggs {
-			v := row[cols[a]].Int
-			switch agg.Func {
-			case AggCount:
-				g.accs[a]++
-			case AggSum:
-				g.accs[a] += v
-			case AggMin:
-				if !g.seen || v < g.accs[a] {
-					g.accs[a] = v
-				}
-			case AggMax:
-				if !g.seen || v > g.accs[a] {
-					g.accs[a] = v
-				}
-			default:
-				q.err = fmt.Errorf("engine: group by: unknown function %v", agg.Func)
-				return q
-			}
-		}
-		g.seen = true
-		if q.meter != nil {
-			q.meter.RowsBuilt++
-		}
-	}
-	rows := make([]Row, 0, len(order))
-	for _, k := range order {
-		row := Row{I(k)}
-		for _, acc := range groups[k].accs {
-			row = append(row, I(acc))
-		}
-		rows = append(rows, row)
-	}
-	q.it = &refSliceIter{rows: rows, schema: outSchema}
-	return q
-}
-
-// refGroupFloat64 is the shared reference drain of the Float64 grouped
-// aggregates: per first-seen group, the float sum over column ci
-// accumulated in row order, plus the member count.
-func (q *refQuery) refGroupFloat64(ki, ci int) (keys []int64, sums []float64, counts []int64) {
 	slots := make(map[int64]int)
+	var rows []Row
 	for {
 		row, ok := q.it.Next()
 		if !ok {
@@ -385,77 +305,18 @@ func (q *refQuery) refGroupFloat64(ki, ci int) (keys []int64, sums []float64, co
 		k := row[ki].Int
 		s, seen := slots[k]
 		if !seen {
-			s = len(keys)
+			s = len(rows)
 			slots[k] = s
-			keys = append(keys, k)
-			sums = append(sums, 0)
-			counts = append(counts, 0)
+			rows = append(rows, Row{I(k), F(0)})
 		}
-		sums[s] += row[ci].Float
-		counts[s]++
+		rows[s][1].Float += row[ci].Float
 		if q.meter != nil {
 			q.meter.RowsBuilt++
 		}
 	}
-	return keys, sums, counts
-}
-
-// checkFloatGroup mirrors Query.checkFloatGroup.
-func (q *refQuery) checkFloatGroup(op, key, col string) (ki, ci int) {
-	in := q.it.Schema()
-	ki = in.ColIndex(key)
-	if ki < 0 || in[ki].Type != Int64 {
-		q.err = fmt.Errorf("engine: %s: bad key column %q", op, key)
-		return -1, -1
-	}
-	ci = in.ColIndex(col)
-	if ci < 0 || in[ci].Type != Float64 {
-		q.err = fmt.Errorf("engine: %s: bad float column %q", op, col)
-		return -1, -1
-	}
-	return ki, ci
-}
-
-// GroupSumFloat64 is the reference twin of Query.GroupSumFloat64.
-func (q *refQuery) GroupSumFloat64(key, col string) *refQuery {
-	if q.err != nil {
-		return q
-	}
-	ki, ci := q.checkFloatGroup("group sum float", key, col)
-	if q.err != nil {
-		return q
-	}
-	name := q.it.Schema()[ki].Name
-	keys, sums, _ := q.refGroupFloat64(ki, ci)
-	rows := make([]Row, 0, len(keys))
-	for s, k := range keys {
-		rows = append(rows, Row{I(k), F(sums[s])})
-	}
 	q.it = &refSliceIter{rows: rows, schema: Schema{
-		{Name: name, Type: Int64},
+		{Name: in[ki].Name, Type: Int64},
 		{Name: fmt.Sprintf("sum(%s)", col), Type: Float64},
-	}}
-	return q
-}
-
-// GroupMeanFloat64 is the reference twin of Query.GroupMeanFloat64.
-func (q *refQuery) GroupMeanFloat64(key, col string) *refQuery {
-	if q.err != nil {
-		return q
-	}
-	ki, ci := q.checkFloatGroup("group mean float", key, col)
-	if q.err != nil {
-		return q
-	}
-	name := q.it.Schema()[ki].Name
-	keys, sums, counts := q.refGroupFloat64(ki, ci)
-	rows := make([]Row, 0, len(keys))
-	for s, k := range keys {
-		rows = append(rows, Row{I(k), F(sums[s] / float64(counts[s]))})
-	}
-	q.it = &refSliceIter{rows: rows, schema: Schema{
-		{Name: name, Type: Int64},
-		{Name: fmt.Sprintf("mean(%s)", col), Type: Float64},
 	}}
 	return q
 }
@@ -529,29 +390,6 @@ func (q *refQuery) OrderByInt(col string, desc bool) *refQuery {
 	})
 	q.it = &refSliceIter{rows: rows, schema: q.it.Schema()}
 	return q
-}
-
-func (q *refQuery) Limit(n int) *refQuery {
-	if q.err != nil {
-		return q
-	}
-	q.it = &refLimitIter{in: q.it, left: n}
-	return q
-}
-
-type refLimitIter struct {
-	in   Iterator
-	left int
-}
-
-func (l *refLimitIter) Schema() Schema { return l.in.Schema() }
-
-func (l *refLimitIter) Next() (Row, bool) {
-	if l.left <= 0 {
-		return nil, false
-	}
-	l.left--
-	return l.in.Next()
 }
 
 func (q *refQuery) Rows() ([]Row, error) {

@@ -132,22 +132,3 @@ func (t *Table) FloatCol(name string) ([]float64, error) {
 	}
 	return t.floats[t.colSlot[i]], nil
 }
-
-// SizeBytes estimates the table's storage footprint: 8 bytes per numeric
-// value plus string lengths. Materialized-view storage costs derive from
-// this.
-func (t *Table) SizeBytes() int64 {
-	var b int64
-	for _, col := range t.ints {
-		b += 8 * int64(len(col))
-	}
-	for _, col := range t.floats {
-		b += 8 * int64(len(col))
-	}
-	for _, col := range t.strs {
-		for _, s := range col {
-			b += int64(len(s))
-		}
-	}
-	return b
-}

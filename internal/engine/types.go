@@ -14,24 +14,27 @@
 // # Execution model
 //
 // Queries execute batch-at-a-time: a Batch of column vectors plus an
-// optional selection vector flows through Scan → Filter → Project →
-// HashJoin/IndexJoin → GroupCount/GroupBy/Top1By/OrderByInt → Limit, so
-// the hot loops run over typed slices instead of materializing a Row per
-// operator per row. Scans are zero-copy views of table storage; filters
-// narrow the selection vector; projection reorders vector references;
-// the hash join probes an open-addressing int64 → row-positions table
-// and gathers output columns straight from the build side's vectors.
-// Query.Rows is the row-at-a-time compatibility shim (one exact-size Row
-// per output row); hot callers use Query.ForEachBatch.
+// optional selection vector flows through Scan → FilterIntEq → Project →
+// HashJoin/IndexJoin → GroupCount/GroupSumFloat64/OrderByInt, and is
+// drained by Rows, ForEachBatch or Top1, so the hot loops run over typed
+// slices instead of materializing a Row per operator per row. These are
+// the operators internal/astro's halo tracking and the pricing loop run.
+// Scans are zero-copy views of table storage; filters narrow the
+// selection vector; projection reorders vector references; the hash join
+// probes an open-addressing int64 → row-positions table and gathers
+// output columns straight from the build side's vectors. Query.Rows
+// materializes one exact-size Row per output row; hot callers use
+// Query.ForEachBatch, and Query.Top1 materializes only the winning row.
 //
 // # Parallel execution
 //
 // Query.WithParallelism(n) opts a query into morsel-driven parallelism
 // (Leis et al., SIGMOD 2014; see parallel.go): the scan is split into
 // fixed-size morsels claimed by n workers, each running a private copy
-// of the streamable pipeline (Filter, Project, join probes); pipeline
-// breakers — hash build, GroupCount/GroupBy, Top1By/Top1, OrderByInt,
-// Rows/ForEachBatch — merge the per-morsel partials deterministically.
+// of the streamable pipeline (FilterIntEq, Project, join probes);
+// pipeline breakers — hash build, GroupCount, GroupSumFloat64, Top1,
+// OrderByInt, Rows/ForEachBatch — merge the per-morsel partials
+// deterministically.
 // n = 1 (the default) keeps the serial path, so existing callers and
 // every committed figure CSV are untouched.
 //
@@ -44,10 +47,10 @@
 // threaded in serial build order, probes routed by the same prefix
 // (buildPartitioned). OrderByInt sorts per-worker runs concurrently and
 // merges them pairwise with a key-then-coordinate comparator — a total
-// order equal to the serial stable sort (parallelSortPerm). Top1 and the
-// grouped Int64 aggregates reduce per-worker partials by coordinate;
-// Float64 group aggregates instead accumulate over the coordinate-merged
-// rows so float addition order — and every output bit — matches serial.
+// order equal to the serial stable sort (parallelSortPerm). Top1 and
+// GroupCount reduce per-worker partials by coordinate; GroupSumFloat64
+// instead accumulates over the coordinate-merged rows so float addition
+// order — and every output bit — matches serial.
 // The same recipe extends past the engine: astro.HaloFinder fans its
 // candidate-pair phase over contiguous particle-id chunks and replays
 // passing pairs through its union-find in serial pair order.
@@ -57,12 +60,11 @@
 // Batch execution never changes what a query is charged. The unit counts
 // — one scan per row a Scan produces, one build per row entering a hash
 // build or aggregation, one probe per probe-side row reaching a join,
-// one emit per row leaving Rows/ForEachBatch — are identical, charge
-// point by charge point, to the row-at-a-time reference retained in
-// rowref.go, including early-exit behavior under Limit (operators
-// propagate the remaining row budget upstream rather than over-pulling).
-// The property tests assert byte-identical rows and identical Meter
-// counts between the two executors on randomized inputs.
+// one emit per row leaving Rows/ForEachBatch/Top1 — are identical,
+// charge point by charge point, to the row-at-a-time Volcano executor
+// the tests keep as a reference (rowref_test.go). The property tests
+// assert byte-identical rows and identical Meter counts between the two
+// executors on randomized inputs.
 //
 // Parallel execution preserves the contract exactly, at every worker
 // count:
@@ -80,9 +82,6 @@
 //   - Order-sensitive sinks merge worker partials by first-occurrence
 //     coordinate (morsel index, row within morsel), reproducing serial
 //     first-seen group order, Top1 tie-breaks and sort stability.
-//   - Pipelines under a row budget (below a Limit) always run serially:
-//     which rows an early exit pulls — and meters — is defined by
-//     serial pull order, so parallelizing it would change the bill.
 //
 // The pricing mechanisms bill on these meter counts, so the guarantee
 // is load-bearing: a provider can scale metered execution across cores
