@@ -160,7 +160,16 @@ func netChaosRound(seed uint64) (string, error) {
 		if torn {
 			return fmt.Errorf("shard %d journal torn by process kill", killShard)
 		}
-		host, err := resilience.RecoverShardHost(recs, logs[killShard])
+		var host *resilience.ShardHost
+		var err error
+		if len(recs) == 0 {
+			// The shard died before its first group, config record
+			// included, was written: nothing on it was acknowledged, so
+			// it restarts fresh.
+			host, err = resilience.NewShardHost(kind, catalog, horizon, killShard, shards, logs[killShard])
+		} else {
+			host, err = resilience.RecoverShardHost(recs, logs[killShard])
+		}
 		if err != nil {
 			return fmt.Errorf("recovering killed shard %d: %w", killShard, err)
 		}

@@ -92,18 +92,23 @@ type batchIterator interface {
 	nextBatch() *Batch
 }
 
-// batchScan streams a table's columns as zero-copy vector views.
+// batchScan streams rows [pos, end) of a table's columns as zero-copy
+// vector views. The serial scan covers the whole table; a parallel
+// worker resets it to each morsel it claims and so reuses one pipeline
+// instance across them.
 type batchScan struct {
-	t     *Table
-	meter *Meter
-	pos   int
-	out   Batch
+	t        *Table
+	meter    *Meter
+	pos, end int
+	out      Batch
 }
+
+func (s *batchScan) reset(lo, hi int) { s.pos, s.end = lo, hi }
 
 func (s *batchScan) Schema() Schema { return s.t.Schema() }
 
 func (s *batchScan) nextBatch() *Batch {
-	remaining := s.t.Len() - s.pos
+	remaining := s.end - s.pos
 	if remaining <= 0 {
 		return nil
 	}

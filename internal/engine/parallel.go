@@ -84,61 +84,11 @@ func (q *Query) parallelPlan() (*pipeSpec, int) {
 	return q.spec, q.par
 }
 
-// morselScan is batchScan bounded to one morsel's row range, resettable
-// so a worker reuses one pipeline instance across the morsels it claims.
-type morselScan struct {
-	t     *Table
-	meter *Meter
-	pos   int
-	end   int
-	out   Batch
-}
-
-func (s *morselScan) reset(lo, hi int) { s.pos, s.end = lo, hi }
-
-func (s *morselScan) Schema() Schema { return s.t.Schema() }
-
-func (s *morselScan) nextBatch() *Batch {
-	remaining := s.end - s.pos
-	if remaining <= 0 {
-		return nil
-	}
-	n := batchSize
-	if remaining < n {
-		n = remaining
-	}
-	lo, hi := s.pos, s.pos+n
-	s.pos = hi
-	t := s.t
-	if s.out.cols == nil {
-		s.out.cols = make([]Vector, len(t.schema))
-	}
-	for i, c := range t.schema {
-		slot := t.colSlot[i]
-		v := &s.out.cols[i]
-		v.Kind = c.Type
-		switch c.Type {
-		case Int64:
-			v.Ints = t.ints[slot][lo:hi:hi]
-		case Float64:
-			v.Floats = t.floats[slot][lo:hi:hi]
-		default:
-			v.Strs = t.strs[slot][lo:hi:hi]
-		}
-	}
-	s.out.sel = nil
-	s.out.n = n
-	if s.meter != nil {
-		s.meter.RowsScanned += int64(n)
-	}
-	return &s.out
-}
-
 // newPipe instantiates one worker's private copy of the pipeline. The
 // scan and every per-iterator scratch buffer are worker-local; build
 // sides and hash indexes are shared read-only.
-func (s *pipeSpec) newPipe(meter *Meter) (*morselScan, batchIterator) {
-	ms := &morselScan{t: s.table, meter: meter}
+func (s *pipeSpec) newPipe(meter *Meter) (*batchScan, batchIterator) {
+	ms := &batchScan{t: s.table, meter: meter}
 	var it batchIterator = ms
 	for i := range s.stages {
 		st := &s.stages[i]

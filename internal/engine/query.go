@@ -30,7 +30,7 @@ type Query struct {
 // column storage.
 func Scan(t *Table, meter *Meter) *Query {
 	return &Query{
-		it:    &batchScan{t: t, meter: meter},
+		it:    &batchScan{t: t, meter: meter, end: t.Len()},
 		meter: meter,
 		par:   1,
 		spec:  &pipeSpec{table: t},

@@ -455,8 +455,8 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 
 // TimedWriter wraps an io.Writer, observing every Write's wall-clock
 // latency in nanoseconds into H. For a journal target whose Write syncs
-// to stable storage (resilience.FileLog), that is the per-record fsync
-// latency. Bytes pass through untouched, so wrapping a journal writer
+// to stable storage (resilience.FileLog), that is the fsync latency of
+// one group of records. Bytes pass through untouched, so wrapping a journal writer
 // never changes what lands in the journal.
 type TimedWriter struct {
 	W io.Writer

@@ -25,12 +25,17 @@
 // arguments with all money in exact integer micro-dollars. A shard
 // journal opens with one "shard" config record (kind, horizon, catalog,
 // shard index and count) followed by that shard's accepted bids ("abid",
-// "sbid") and settlement markers ("adv", "close"). Each record is issued
-// as a single Write to the log target (MemLog in memory, FileLog with
-// per-record fsync on disk), so a crash tears at most the final record;
-// ReadJournal verifies newline framing, checksum, and sequence
-// continuity, and cleanly discards everything from the first damaged
-// record on.
+// "sbid") and settlement markers ("adv", "close"). Records are written
+// by group commit: each is enqueued in sequence order under the journal
+// lock, and a caller waiting for an unwritten record that finds no write
+// in progress writes every pending record as a single Write to the log
+// target (MemLog in memory, FileLog with one fsync per group on disk).
+// No call is acknowledged before its group is written, and a crash
+// tears at most the final group; ReadJournal verifies newline framing,
+// checksum, and sequence continuity, and cleanly discards everything
+// from the first damaged record on. The config record is enqueued when
+// the shard opens and rides its first group, so a shard that dies
+// before any group leaves an empty journal (a creation crash).
 //
 // # Shards and settlement
 //

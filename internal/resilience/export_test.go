@@ -25,3 +25,12 @@ func ValidatorHeld(h *ShardHost) int {
 	defer h.mu.Unlock()
 	return h.v.Held()
 }
+
+// Gate reports whether shard i of s is settling and how many
+// submissions wait at its gate.
+func Gate(s *ShardedService, i int) (settling bool, gated int) {
+	sh := s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.settling, sh.gated
+}

@@ -16,7 +16,11 @@ var ErrInjected = errors.New("resilience: injected write failure")
 // simulated process is dead and only recovery from the log may proceed.
 var ErrCrashed = errors.New("resilience: simulated crash")
 
-// FaultKind selects what a FaultPlan does to its chosen record write.
+// ErrSyncFailed is the error a FaultSync plan returns after its write's
+// bytes reached the log.
+var ErrSyncFailed = errors.New("resilience: injected sync failure")
+
+// FaultKind selects what a FaultPlan does to its chosen write.
 type FaultKind int
 
 const (
@@ -34,6 +38,11 @@ const (
 	// FaultCrash writes only Tear bytes of the chosen record, returns
 	// ErrCrashed, and fails every later write: a kill -9 mid-append.
 	FaultCrash
+	// FaultSync lets every byte of the chosen write reach the log and
+	// still fails it with ErrSyncFailed, as after a failed fsync: the
+	// group may or may not survive, so the journal must wedge and
+	// acknowledge none of it. RandomPlan never draws it.
+	FaultSync
 )
 
 // String names the kind for logs and test output.
@@ -47,14 +56,16 @@ func (k FaultKind) String() string {
 		return "short-write"
 	case FaultCrash:
 		return "crash"
+	case FaultSync:
+		return "sync-error"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
 }
 
 // FaultPlan schedules exactly one write fault: the Record-th journal
-// write (0-based; each journal record is one write) suffers Kind, with
-// Tear bytes reaching the log for the tearing kinds. Plans are plain
+// write (0-based; each group is one write) suffers Kind, with Tear bytes
+// reaching the log for the tearing kinds. Plans are plain
 // data so a seeded schedule is reproducible by value.
 type FaultPlan struct {
 	Kind   FaultKind
@@ -71,8 +82,9 @@ func (p FaultPlan) String() string {
 }
 
 // RandomPlan draws a deterministic fault schedule from seed for a run
-// expected to write about records journal records: a kind (faultless
-// runs included), a target record, and a tear length.
+// expected to make about records journal writes: a kind from FaultNone
+// to FaultCrash (faultless runs included), a target write, and a tear
+// length.
 func RandomPlan(seed uint64, records int) FaultPlan {
 	r := stats.NewRNG(seed)
 	if records < 1 {
@@ -106,7 +118,7 @@ func RandomShardPlans(seed uint64, shards, records int) []FaultPlan {
 // member crashes — its own plan's FaultCrash, or the group-wide KillAt
 // write budget running out — every member fails all later writes with
 // ErrCrashed. That is process-death semantics: a kill tears at most one
-// record on one shard's journal but stops all of them at the same
+// group on one shard's journal but stops all of them at the same
 // instant, which is exactly the cross-shard interleaving crash the
 // sharded recovery must reconcile.
 type CrashGroup struct {
@@ -173,7 +185,7 @@ func (g *CrashGroup) admit(w io.Writer, p []byte) (n int, err error, done bool) 
 }
 
 // FaultWriter wraps a journal target and executes a FaultPlan against
-// it. It is safe for concurrent use and counts whole-record writes so
+// it. It is safe for concurrent use and counts writes (one per group) so
 // tests can assert exactly where the failure landed.
 type FaultWriter struct {
 	mu      sync.Mutex
@@ -232,12 +244,18 @@ func (f *FaultWriter) Write(p []byte) (int, error) {
 		k := min(f.plan.Tear, len(p))
 		n, _ := f.w.Write(p[:k])
 		return n, ErrCrashed
+	case FaultSync:
+		n, err := f.w.Write(p)
+		if err != nil {
+			return n, err
+		}
+		return n, ErrSyncFailed
 	default:
 		return 0, fmt.Errorf("resilience: unknown fault kind %v", f.plan.Kind)
 	}
 }
 
-// Writes returns how many record writes the journal attempted so far.
+// Writes returns how many group writes the journal attempted so far.
 func (f *FaultWriter) Writes() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

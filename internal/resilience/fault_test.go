@@ -39,8 +39,9 @@ func submitBid(h *ShardHost, bid core.OnlineBid) (SubmitResult, error) {
 	return h.Submit(context.Background(), AdditiveBidRecord(1, bid))
 }
 
-// TestFaultWriterEndToEnd runs each fault kind against record 2 (the
-// second bid): the failing call errors, the host wedges fail-stop, and
+// TestFaultWriterEndToEnd runs each fault kind against write 1 (the
+// second bid; write 0 is the group of the config record and the first
+// bid): the failing call errors, the host wedges fail-stop, and
 // recovery from the surviving log yields exactly the state before the
 // failed mutation — which can then continue on a fresh log.
 func TestFaultWriterEndToEnd(t *testing.T) {
@@ -52,7 +53,7 @@ func TestFaultWriterEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	for kind, want := range wantErr {
 		t.Run(kind.String(), func(t *testing.T) {
-			h, fw, m := faultFixture(t, FaultPlan{Kind: kind, Record: 2, Tear: 7})
+			h, fw, m := faultFixture(t, FaultPlan{Kind: kind, Record: 1, Tear: 7})
 			if _, err := submitBid(h, bidFor(1)); err != nil {
 				t.Fatal(err)
 			}
@@ -126,12 +127,7 @@ func TestFaultPlanSweep(t *testing.T) {
 			h, err := NewShardHost(sharedopt.Additive,
 				[]sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(10)}}, 4, 0, 1, fw)
 			if err != nil {
-				// The config record itself was faulted: nothing durable
-				// exists and the constructor must refuse the host.
-				if plan.Kind == FaultNone || plan.Record != 0 {
-					t.Fatalf("constructor failed under plan %v: %v", plan, err)
-				}
-				return
+				t.Fatalf("opening a shard wrote to its journal under plan %v: %v", plan, err)
 			}
 			for u := core.UserID(1); u <= 3; u++ {
 				submitBid(h, core.OnlineBid{
@@ -146,7 +142,8 @@ func TestFaultPlanSweep(t *testing.T) {
 
 			recs, _, _ := ReadJournal(m.Bytes())
 			if len(recs) == 0 {
-				// The config record itself was faulted; nothing to recover.
+				// The first group, config record included, was faulted;
+				// nothing to recover.
 				if plan.Kind == FaultNone || plan.Record != 0 {
 					t.Fatalf("empty journal under plan %v", plan)
 				}
@@ -210,6 +207,7 @@ func TestFaultKindStrings(t *testing.T) {
 		FaultErr:     "write-error",
 		FaultShort:   "short-write",
 		FaultCrash:   "crash",
+		FaultSync:    "sync-error",
 		FaultKind(9): "FaultKind(9)",
 	}
 	for k, want := range cases {

@@ -29,7 +29,7 @@ func FuzzReadJournal(f *testing.F) {
 	flipped[12] ^= 0x40 // payload corruption under an intact frame
 	f.Add(flipped)
 	// A bid framed by the encode-once path, as ShardHost.Submit writes it.
-	once, err := encodeCanonical(uint64(len(testRecords()))+1, Record{Kind: KindSubstBid, User: 3,
+	once, err := appendFrame(nil, uint64(len(testRecords()))+1, Record{Kind: KindSubstBid, User: 3,
 		Set: []core.OptID{1, 2}, Start: 2, End: 2, Values: []econ.Money{econ.FromCents(75)}}.canonical())
 	if err != nil {
 		f.Fatal(err)

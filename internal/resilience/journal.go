@@ -87,8 +87,8 @@ func (r Record) canonical() []byte {
 // of any collision is below n²/2²⁵⁷, about 4·10⁻⁶⁰ for a billion bids.
 func digest(canonical []byte) [sha256.Size]byte { return sha256.Sum256(canonical) }
 
-// encodeCanonical frames one record as a journal line at sequence seq,
-// given the record's canonical payload:
+// appendFrame appends one record, framed as a journal line at sequence
+// seq, to dst, given the record's canonical payload:
 //
 //	<crc32-ieee-hex8> <payload-json>\n
 //
@@ -96,24 +96,25 @@ func digest(canonical []byte) [sha256.Size]byte { return sha256.Sum256(canonical
 // followed by the canonical payload after canonicalPrefix — so a record
 // is marshaled once whether it is digested, framed, or both. The
 // checksum covers exactly the payload bytes, so any torn, bit-rotted or
-// short-written tail fails verification and is discarded on replay.
-func encodeCanonical(seq uint64, canonical []byte) ([]byte, error) {
+// short-written tail fails verification and is discarded on replay. On
+// error dst is returned unchanged.
+func appendFrame(dst []byte, seq uint64, canonical []byte) ([]byte, error) {
 	rest, ok := bytes.CutPrefix(canonical, []byte(canonicalPrefix))
 	if !ok {
-		return nil, fmt.Errorf("resilience: record %d: payload is not canonical", seq)
+		return dst, fmt.Errorf("resilience: record %d: payload is not canonical", seq)
 	}
 	if bytes.IndexByte(rest, '\n') >= 0 {
-		return nil, fmt.Errorf("resilience: record %d payload contains newline", seq)
+		return dst, fmt.Errorf("resilience: record %d payload contains newline", seq)
 	}
 	const header = len("xxxxxxxx ")
-	out := make([]byte, header, header+len(`{"seq":`)+20+len(rest)+1)
+	start := len(dst)
+	out := append(dst, "xxxxxxxx "...)
 	out = append(out, `{"seq":`...)
 	out = strconv.AppendUint(out, seq, 10)
 	out = append(out, rest...)
 	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out[header:]))
-	hex.Encode(out[:header-1], sum[:])
-	out[header-1] = ' '
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out[start+header:]))
+	hex.Encode(out[start:start+header-1], sum[:])
 	return append(out, '\n'), nil
 }
 
@@ -171,23 +172,45 @@ var ErrJournalBroken = errors.New("resilience: journal broken by an earlier writ
 
 // Journal appends checksummed records to an io.Writer (fail-stop: the
 // first write error wedges it permanently). It is safe for concurrent
-// use. The writer can be anything — *MemLog and *FileLog are the two
-// provided implementations — but each record is issued as exactly one
-// Write call, so a crash can tear at most the final record.
+// use. An append is two steps: enqueue assigns the next sequence number
+// and frames the record into a pending buffer, and waitDurable blocks
+// until that sequence number has been written. A waiter that finds no
+// write in progress becomes the flusher and writes every record pending
+// at that moment as one Write call — one fsync on a FileLog — while
+// records enqueued meanwhile wait for the next group. The writer can be
+// anything — *MemLog and *FileLog are the two provided implementations
+// — but each group is exactly one Write call, in sequence order, so a
+// crash can tear at most the final group.
 type Journal struct {
-	mu  sync.Mutex
-	w   io.Writer
-	seq uint64
-	err error
+	mu       sync.Mutex
+	w        io.Writer
+	seq      uint64 // last sequence number assigned
+	durable  uint64 // last sequence number written
+	pending  []byte // framed records after the group being written
+	spare    []byte // the previous group's buffer, reused for the next
+	writing  *group // the group being written, or nil
+	released bool   // the owner is done appending; keep no spare buffer
+	err      error
+}
+
+// group is one Write of records up to last. Its waiters block on done,
+// which is closed once the write has returned and err is set, so they
+// learn the outcome without taking the journal lock again.
+type group struct {
+	last uint64
+	done chan struct{}
+	err  error
 }
 
 // NewJournal returns a journal appending to w starting at sequence 1.
-func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
+func NewJournal(w io.Writer) *Journal { return NewJournalAt(w, 0) }
 
 // NewJournalAt returns a journal appending to w whose next record gets
 // sequence seq+1 — the continuation constructor recovery uses after
 // replaying seq records.
-func NewJournalAt(w io.Writer, seq uint64) *Journal { return &Journal{w: w, seq: seq} }
+func NewJournalAt(w io.Writer, seq uint64) *Journal {
+	return &Journal{w: w, seq: seq, durable: seq}
+}
 
 // Append assigns the next sequence number to rec and writes it durably.
 // A short write (n < len with a nil error, from a buggy or faulty
@@ -195,37 +218,98 @@ func NewJournalAt(w io.Writer, seq uint64) *Journal { return &Journal{w: w, seq:
 // journal: the record may be partially on disk, so nothing further may
 // be appended after it.
 func (j *Journal) Append(rec Record) error {
-	_, err := j.appendCanonical(rec.canonical())
-	return err
+	seq, err := j.enqueue(rec.canonical())
+	if err != nil {
+		return err
+	}
+	return j.waitDurable(seq)
 }
 
-// appendCanonical is Append for a record already marshaled to its
-// canonical payload: it writes the same bytes without marshaling again,
-// and returns the sequence number assigned.
-func (j *Journal) appendCanonical(canonical []byte) (uint64, error) {
+// enqueue frames a record, given as its canonical payload, into the
+// pending group under the next sequence number and returns that number.
+// Nothing is written: the record is durable once waitDurable(seq)
+// returns nil.
+func (j *Journal) enqueue(canonical []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrJournalBroken, j.err)
 	}
-	seq := j.seq + 1
-	frame, err := encodeCanonical(seq, canonical)
+	pending, err := appendFrame(j.pending, j.seq+1, canonical)
 	if err != nil {
-		return 0, err // encoding failed before any bytes were written: not wedged
+		return 0, err // nothing was enqueued: not wedged
 	}
-	n, err := j.w.Write(frame)
-	if err == nil && n < len(frame) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		j.err = err
-		return 0, fmt.Errorf("resilience: journal append: %w", err)
-	}
-	j.seq = seq
-	return seq, nil
+	j.pending = pending
+	j.seq++
+	return j.seq, nil
 }
 
-// Seq returns the sequence number of the last appended record.
+// waitDurable blocks until record seq has been written, flushing the
+// pending group itself when no write is in progress. It fails if the
+// journal wedged before seq was written: the group that held seq, or an
+// earlier one, failed, so seq must not be acknowledged.
+func (j *Journal) waitDurable(seq uint64) error {
+	j.mu.Lock()
+	for {
+		g := j.writing
+		switch {
+		case seq <= j.durable:
+			j.mu.Unlock()
+			return nil
+		case j.err != nil:
+			err := j.err
+			j.mu.Unlock()
+			return fmt.Errorf("resilience: journal append: %w", err)
+		case g == nil:
+			j.flush()
+			continue
+		}
+		j.mu.Unlock()
+		<-g.done
+		if seq <= g.last {
+			if g.err != nil {
+				return fmt.Errorf("resilience: journal append: %w", g.err)
+			}
+			return nil
+		}
+		j.mu.Lock() // seq is pending: flush it once the write ahead returns
+	}
+}
+
+// flush writes the pending records as one group. It is called with j.mu
+// held and releases it for the write.
+func (j *Journal) flush() {
+	g := &group{last: j.seq, done: make(chan struct{})}
+	buf := j.pending
+	j.pending, j.spare, j.writing = j.spare[:0], nil, g
+	j.mu.Unlock()
+	n, err := j.w.Write(buf)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	j.mu.Lock()
+	j.writing, g.err = nil, err
+	if err != nil {
+		j.err = err
+	} else {
+		j.durable = g.last
+	}
+	if !j.released {
+		j.spare = buf[:0]
+	}
+	close(g.done)
+}
+
+// release drops the spare group buffer and keeps none from later
+// writes: the owner appends at most a final marker after it.
+func (j *Journal) release() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.released, j.spare = true, nil
+}
+
+// Seq returns the sequence number of the last enqueued record, which may
+// still be waiting in the pending group.
 func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -276,10 +360,10 @@ func (m *MemLog) Truncate(n int) {
 	m.buf.Truncate(n)
 }
 
-// FileLog is the file-backed journal target. Every Write is followed by
-// an fsync, so an acknowledged record survives a process kill; the
-// checksummed framing handles the torn writes a mid-record kill leaves
-// behind.
+// FileLog is the file-backed journal target. Every Write — one group of
+// records — is followed by an fsync, so an acknowledged record survives
+// a process kill; the checksummed framing handles the torn writes a
+// mid-group kill leaves behind.
 type FileLog struct {
 	mu sync.Mutex
 	f  *os.File

@@ -29,7 +29,7 @@ func testRecords() []Record {
 
 // encodeRecord frames rec as a journal line the plain way — marshal the
 // record, checksum the payload, frame it — as the reference the
-// encode-once path (encodeCanonical) must match byte for byte.
+// encode-once path (appendFrame) must match byte for byte.
 func encodeRecord(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -402,7 +402,7 @@ func TestEncodeCanonicalMatchesEncodeRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := encodeCanonical(seq, rec.canonical())
+			got, err := appendFrame(nil, seq, rec.canonical())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,7 +434,7 @@ func TestEncodeCanonicalMatchesEncodeRecord(t *testing.T) {
 	if !bytes.Equal(m.Bytes(), want) {
 		t.Fatalf("journal images differ:\nAppend       %q\nencodeRecord %q", m.Bytes(), want)
 	}
-	if _, err := encodeCanonical(1, []byte(`{"kind":"adv"}`)); err == nil {
+	if _, err := appendFrame(nil, 1, []byte(`{"kind":"adv"}`)); err == nil {
 		t.Fatal("a payload without the seq-0 prefix was framed")
 	}
 }

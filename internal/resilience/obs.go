@@ -18,8 +18,9 @@ package resilience
 //	  .unavailable / .settled / .wedged     the outcome counters
 //	                                        ShardStats reads
 //	  shard<i>.batch_highwater              peak between-slots batch length
-//	  shard<i>.journal_write_ns             per-record journal write latency
+//	  shard<i>.journal_write_ns             per-group journal write latency
 //	                                        (the fsync latency on a FileLog)
+//	  shard<i>.journal_group_records        records per journal write
 //
 //	tier (the ShardedService aggregate):
 //	  tier.accepted / .rejected / .overloaded / .read_only /
@@ -41,7 +42,9 @@ package resilience
 //	  shard<i>.net_rtt_ns                   per-call round-trip latency
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 
 	"sharedopt/internal/obs"
 )
@@ -103,4 +106,20 @@ func newTierMetrics(reg *obs.Registry, n int) tierMetrics {
 		advances:  reg.Counter("tier.advances"),
 		advanceNs: reg.Histogram("tier.advance_ns", nil),
 	}
+}
+
+// groupBounds are shard<i>.journal_group_records' buckets: powers of two
+// up to 1024 records per write.
+var groupBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// groupCounter observes how many records each journal write carries into
+// h: one per newline, the only one a framed record holds.
+type groupCounter struct {
+	w io.Writer
+	h *obs.Histogram
+}
+
+func (g groupCounter) Write(p []byte) (int, error) {
+	g.h.Observe(int64(bytes.Count(p, []byte{'\n'})))
+	return g.w.Write(p)
 }

@@ -102,7 +102,7 @@ func TestObsChangesNoJournalBytes(t *testing.T) {
 func TestShardedObsMirrorsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	const shards = 3
-	ss, _, tally, submitted := driveShardedScript(t, shards, reg)
+	ss, logs, tally, submitted := driveShardedScript(t, shards, reg)
 	snap := reg.Snapshot()
 	agg := ShardCounters{}
 	for i, sc := range ss.ShardStats() {
@@ -147,11 +147,19 @@ func TestShardedObsMirrorsCounters(t *testing.T) {
 	if n := snap.Hists["tier.advance_ns"].Count; n != 3 {
 		t.Errorf("tier.advance_ns observed %d settlements, want 3", n)
 	}
+	// journal_group_records observes every write too, and its records
+	// add up to the journal's.
 	for i := 0; i < shards; i++ {
 		name := fmt.Sprintf("shard%d.journal_write_ns", i)
 		h, ok := snap.Hists[name]
 		if !ok || h.Count == 0 {
 			t.Errorf("%s missing or empty", name)
+		}
+		groups := snap.Hists[fmt.Sprintf("shard%d.journal_group_records", i)]
+		recs, _, _ := ReadJournal(logs[i].Bytes())
+		if groups.Count != h.Count || groups.Sum != int64(len(recs)) {
+			t.Errorf("shard%d.journal_group_records: %d writes of %d records, want %d writes of %d",
+				i, groups.Count, groups.Sum, h.Count, len(recs))
 		}
 	}
 	// The batch high-water marks never exceed the configured bound.
@@ -167,7 +175,9 @@ func TestShardedObsMirrorsCounters(t *testing.T) {
 func TestShardedObsWedgeCounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
-	fw := NewFaultWriter(new(MemLog), FaultPlan{Kind: FaultErr, Record: 2})
+	// Write 0 is the config record and the first bid, write 1 the second
+	// bid.
+	fw := NewFaultWriter(new(MemLog), FaultPlan{Kind: FaultErr, Record: 1})
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4,
 		[]io.Writer{fw}, ShardedConfig{Obs: reg})
 	if err != nil {

@@ -162,7 +162,7 @@ func (s seqSet) has(seq uint64) bool { return s[seq>>6]&(1<<(seq&63)) != 0 }
 // the batch of accepted bids not yet folded into settlement.
 type shard struct {
 	mu   sync.Mutex
-	idle *sync.Cond // signaled when inflight hits 0 or settling clears
+	idle *sync.Cond // signaled when inflight or gated hits 0, or settling clears
 	link ShardTransport
 	// batch holds accepted bids of the open window; frozen holds the
 	// bids drained for the in-progress settlement round (non-empty only
@@ -181,9 +181,12 @@ type shard struct {
 	// settling gates submissions while this shard's batch freezes, and
 	// inflight counts submissions currently on the wire: the freeze
 	// waits for them, so every bid journaled ahead of the marker is in
-	// the frozen batch.
+	// the frozen batch. gated counts submissions held at the gate; the
+	// next freeze waits for them to pass, so back-to-back settlements
+	// cannot hold a bid out until its start slot has been settled.
 	settling bool
 	inflight int
+	gated    int
 	wedged   error        // non-nil once read-only; wraps ErrShardWedged
 	om       shardMetrics // the outcome counters; move only under mu
 }
@@ -285,9 +288,8 @@ func shardConfigRecord(kind sharedopt.GameKind, opts []sharedopt.Optimization, h
 // NewShardedService opens a fresh sharded period over len(writers)
 // shards, one journal target per shard, fronted by in-process loopback
 // transports. Each shard's journal opens with a KindShardConfig record
-// naming its index and the shard count; the constructor fails if any
-// config write fails (nothing durable was acknowledged, so there is
-// nothing to recover).
+// naming its index and the shard count, written with the shard's first
+// group (see NewShardHost), so opening the tier writes nothing.
 func NewShardedService(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizon core.Slot, writers []io.Writer, cfg ShardedConfig) (*ShardedService, error) {
 	if kind != sharedopt.Additive && kind != sharedopt.Substitutive {
 		return nil, fmt.Errorf("resilience: unknown game kind %v", kind)
@@ -308,14 +310,19 @@ func NewShardedService(kind sharedopt.GameKind, opts []sharedopt.Optimization, h
 }
 
 // timedJournal wraps shard i's journal target so that, with a registry,
-// every durable write's latency (the fsync, on a FileLog) lands in
-// shard<i>.journal_write_ns. TimedWriter passes bytes through untouched,
-// so the journal image is identical with or without it.
+// every group write's latency (the fsync, on a FileLog) lands in
+// shard<i>.journal_write_ns and its record count in
+// shard<i>.journal_group_records. Both wrappers pass bytes through
+// untouched, so the journal image is identical with or without them.
 func timedJournal(w io.Writer, reg *obs.Registry, i int) io.Writer {
 	if reg == nil {
 		return w
 	}
-	return obs.TimedWriter{W: w, H: reg.Histogram(fmt.Sprintf("shard%d.journal_write_ns", i), nil)}
+	prefix := fmt.Sprintf("shard%d.", i)
+	return groupCounter{
+		w: obs.TimedWriter{W: w, H: reg.Histogram(prefix+"journal_write_ns", nil)},
+		h: reg.Histogram(prefix+"journal_group_records", groupBounds),
+	}
 }
 
 // NewShardedServiceOver opens a sharded tier over caller-provided shard
@@ -478,8 +485,14 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 	i := ShardFor(u, len(s.shards))
 	sh := s.shards[i]
 	sh.mu.Lock()
-	for sh.settling && sh.wedged == nil {
-		sh.idle.Wait()
+	if sh.settling && sh.wedged == nil {
+		sh.gated++
+		for sh.settling && sh.wedged == nil {
+			sh.idle.Wait()
+		}
+		if sh.gated--; sh.gated == 0 {
+			sh.idle.Broadcast()
+		}
 	}
 	if sh.wedged != nil {
 		sh.om.readOnly.Inc()
@@ -648,7 +661,8 @@ func (s *ShardedService) errAllWedged() error {
 
 // settleRoundLocked drives the in-progress settlement round (adv when
 // closing is false, close otherwise) as far as the shards allow. Per
-// shard, in index order: wait out in-flight submissions, resolve
+// shard, in index order: let submissions held at the previous round's
+// gate through, wait out in-flight submissions, resolve
 // in-doubt ones, freeze the batch, and make the marker durable. A shard
 // whose marker is already durable only contributes its frozen batch; a
 // wedged shard freezes without a marker (its bids are durable ahead of
@@ -672,6 +686,9 @@ func (s *ShardedService) settleRoundLocked(closing bool) (core.SlotReport, error
 		if sh.marked {
 			sh.mu.Unlock()
 			continue
+		}
+		for sh.gated > 0 {
+			sh.idle.Wait()
 		}
 		sh.settling = true
 		for sh.inflight > 0 {

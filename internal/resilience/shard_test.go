@@ -6,10 +6,13 @@ package resilience_test
 // degrading per shard, not per tier, under partial failure.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
+	"time"
 
 	"sharedopt"
 	"sharedopt/internal/core"
@@ -145,9 +148,9 @@ func TestShardedWedgeDegradation(t *testing.T) {
 	const n = 4
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
 	logs, ws := tiercheck.MemWriters(n)
-	// Shard 0's journal fails on its record 2: config=0, first bid=1,
-	// second bid=2.
-	ws[0] = NewFaultWriter(logs[0], FaultPlan{Kind: FaultErr, Record: 2})
+	// Shard 0's journal fails on its write 1: write 0 is the config
+	// record and the first bid in one group, write 1 the second bid.
+	ws[0] = NewFaultWriter(logs[0], FaultPlan{Kind: FaultErr, Record: 1})
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +218,9 @@ func TestShardedAllWedgedRefusal(t *testing.T) {
 	logs, _ := tiercheck.MemWriters(n)
 	ws := make([]io.Writer, n)
 	for i := range ws {
-		// Both journals fail on their second record (the first bid).
-		ws[i] = NewFaultWriter(logs[i], FaultPlan{Kind: FaultErr, Record: 1})
+		// Both journals fail on their first write: the group of the config
+		// record and the first bid.
+		ws[i] = NewFaultWriter(logs[i], FaultPlan{Kind: FaultErr, Record: 0})
 	}
 	ss, err := NewShardedService(sharedopt.Additive, catalog, 4, ws, ShardedConfig{})
 	if err != nil {
@@ -314,5 +318,83 @@ func TestShardedDuplicateNotDoubleSettled(t *testing.T) {
 	st := ss.ShardStats()
 	if st[1].Accepted != 1 || st[1].Settled != 1 {
 		t.Fatalf("shard 1 counters = %+v, want Accepted=1 Settled=1", st[1])
+	}
+}
+
+// stallLink is a loopback link whose first Submit waits for release
+// before it reaches the host, like a delivery stuck behind a slow fsync.
+type stallLink struct {
+	ShardTransport
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (l *stallLink) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
+	l.once.Do(func() {
+		close(l.entered)
+		<-l.release
+	})
+	return l.ShardTransport.Submit(ctx, rec)
+}
+
+// awaitGate polls until shard 0 of s is settling with gated submissions
+// held at its gate.
+func awaitGate(t *testing.T, s *ShardedService, gated int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		settling, n := Gate(s, 0)
+		if settling && n == gated {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gate: settling=%v gated=%d, want settling with %d gated", settling, n, gated)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestShardedGatedSubmitPrecedesNextRound: a submission that arrives
+// while a settlement round waits out a slow in-flight one is held at the
+// shard's gate, and must be admitted before the next round freezes the
+// batch. Otherwise settlements run back to back, as a clock catching up
+// after a stall runs them, can hold a bid out until its start slot is
+// settled and it is refused as retroactive.
+func TestShardedGatedSubmitPrecedesNextRound(t *testing.T) {
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
+	h, err := NewShardHost(sharedopt.Additive, catalog, 4, 0, 1, new(MemLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &stallLink{ShardTransport: h, entered: make(chan struct{}), release: make(chan struct{})}
+	ss, err := NewShardedServiceOver(sharedopt.Additive, catalog, 4, []ShardTransport{link}, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stalled, advanced, gated := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() { stalled <- ss.SubmitAdditiveBid(1, shardBid(1)) }()
+	<-link.entered
+	go func() { _, err := ss.AdvanceSlot(); advanced <- err }()
+	awaitGate(t, ss, 0)
+	next := core.OnlineBid{User: 2, Start: 2, End: 2, Values: []econ.Money{econ.FromDollars(5)}}
+	go func() { gated <- ss.SubmitAdditiveBid(1, next) }()
+	awaitGate(t, ss, 1)
+	close(link.release)
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled bid: %v", err)
+	}
+	if err := <-advanced; err != nil {
+		t.Fatalf("first settlement: %v", err)
+	}
+	// The next round at once, before the held submission has run.
+	if _, err := ss.AdvanceSlot(); err != nil {
+		t.Fatalf("second settlement: %v", err)
+	}
+	if err := <-gated; err != nil {
+		t.Fatalf("bid held at the gate for slot 2 refused after back-to-back settlements: %v", err)
+	}
+	if st := ss.ShardStats()[0]; st.Accepted != 2 || st.Settled != 2 {
+		t.Fatalf("counters %+v, want both bids accepted and settled", st)
 	}
 }

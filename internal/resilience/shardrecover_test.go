@@ -2,7 +2,9 @@ package resilience_test
 
 // The sharded crash-replay property: killing the whole tier (all N
 // journals at once, via a CrashGroup — process-death semantics) at
-// EVERY global write index, with and without a torn tail, then
+// EVERY global write index, with and without a torn tail — torn inside
+// a record and at each record boundary of a multi-record group — or
+// failing that write's sync and killing the tier at the next write, then
 // recovering from the surviving journal prefixes must yield (a) a
 // deterministic state — two recoveries of the same journals agree byte
 // for byte — with every journal rolled forward to one common frontier,
@@ -42,17 +44,75 @@ func journalFrontier(t *testing.T, m *MemLog) (advs int, closed bool) {
 	return advs, closed
 }
 
+// oracleWrite is one journal write of the uncrashed run: the shard it
+// went to, its index among that shard's writes, and the byte offset just
+// past each record it carried.
+type oracleWrite struct {
+	shard, local int
+	bounds       []int
+}
+
+// writeRecorder notes every write it forwards, in global order.
+type writeRecorder struct {
+	w      io.Writer
+	shard  int
+	writes *[]oracleWrite
+}
+
+func (r writeRecorder) Write(p []byte) (int, error) {
+	local := 0
+	for _, w := range *r.writes {
+		if w.shard == r.shard {
+			local++
+		}
+	}
+	*r.writes = append(*r.writes, oracleWrite{shard: r.shard, local: local, bounds: RecordBoundaries(p)})
+	return r.w.Write(p)
+}
+
+// crashCase is one faulted rerun of the sweep: the whole tier dies at
+// global write kill with tear bytes of it reaching the log, and, when
+// sync is set, the write before the kill fails its sync instead.
+type crashCase struct {
+	kill, tear int
+	sync       *oracleWrite
+}
+
+func (c crashCase) String() string {
+	if c.sync != nil {
+		return fmt.Sprintf("sync-error@write%d", c.kill-1)
+	}
+	return fmt.Sprintf("kill=%d tear=%d", c.kill, c.tear)
+}
+
+// crashCases lists the reruns for each oracle write: torn at 0 and 9
+// bytes, torn at each record boundary inside a multi-record group, and
+// a failed sync followed by death at the next write.
+func crashCases(writes []oracleWrite) []crashCase {
+	var cases []crashCase
+	for kill, w := range writes {
+		cases = append(cases, crashCase{kill: kill, tear: 0}, crashCase{kill: kill, tear: 9})
+		for _, b := range w.bounds[:len(w.bounds)-1] {
+			cases = append(cases, crashCase{kill: kill, tear: b})
+		}
+		cases = append(cases, crashCase{kill: kill + 1, sync: &writes[kill]})
+	}
+	return cases
+}
+
 func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, seed uint64) {
 	r := stats.NewRNG(seed)
 	catalog := tiercheck.RandomCatalog(r, 3)
 	horizon := core.Slot(3 + r.Intn(3))
 	sc := tiercheck.NewScript(seed*1471+uint64(kind)+uint64(shards), kind, catalog, horizon, 1, 3)
 
-	// Uncrashed oracle run, instrumented only to count global writes.
+	// Uncrashed oracle run, instrumented only to record its writes. The
+	// script is driven one op at a time, so the reruns write the same
+	// groups in the same order up to the fault.
 	logs, ws := tiercheck.MemWriters(shards)
-	group := NewCrashGroup()
+	var writes []oracleWrite
 	for i := range ws {
-		ws[i] = NewFaultWriterInGroup(logs[i], FaultPlan{}, group)
+		ws[i] = writeRecorder{w: logs[i], shard: i, writes: &writes}
 	}
 	ss, err := NewShardedService(kind, catalog, horizon, ws, ShardedConfig{})
 	if err != nil {
@@ -62,71 +122,78 @@ func testShardedCrashRecover(t *testing.T, kind sharedopt.GameKind, shards int, 
 		t.Fatal(err)
 	}
 	final := tiercheck.Snapshot(ss)
-	totalWrites := group.Writes()
 
-	for kill := 0; kill < totalWrites; kill++ {
-		for _, tear := range []int{0, 9} {
-			logs, rws := tiercheck.MemWriters(shards)
-			g := NewCrashGroup()
-			g.KillAtWrite(kill, tear)
-			ws := make([]io.Writer, shards)
-			for i := range ws {
-				ws[i] = NewFaultWriterInGroup(logs[i], FaultPlan{}, g)
+	for _, c := range crashCases(writes) {
+		logs, rws := tiercheck.MemWriters(shards)
+		g := NewCrashGroup()
+		g.KillAtWrite(c.kill, c.tear)
+		ws := make([]io.Writer, shards)
+		for i := range ws {
+			var plan FaultPlan
+			if c.sync != nil && c.sync.shard == i {
+				plan = FaultPlan{Kind: FaultSync, Record: c.sync.local}
 			}
-			crashed, err := NewShardedService(kind, catalog, horizon, ws, ShardedConfig{})
-			if err == nil {
-				// Drive until the process dies; errors are the crash.
-				if _, err := tiercheck.Drive(crashed, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
-					t.Fatal(err)
-				}
-			} else if kill >= shards {
-				t.Fatalf("kill=%d: constructor failed outside the config writes: %v", kill, err)
+			ws[i] = NewFaultWriterInGroup(logs[i], plan, g)
+		}
+		crashed, err := NewShardedService(kind, catalog, horizon, ws, ShardedConfig{})
+		if err != nil {
+			t.Fatalf("%v: constructor: %v", c, err)
+		}
+		// Drive until the process dies; errors are the crash.
+		if _, err := tiercheck.Drive(crashed, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
+			t.Fatal(err)
+		}
+		// A failed sync wedges its shard, after which the tier may write
+		// nothing more; a kill must fire.
+		if c.sync != nil {
+			if err := crashed.Wedged(c.sync.shard); !errors.Is(err, ErrShardWedged) {
+				t.Fatalf("%v: shard %d not wedged: %v", c, c.sync.shard, err)
 			}
-			if !g.Crashed() {
-				t.Fatalf("kill=%d tear=%d: schedule never reached the kill write", kill, tear)
-			}
+		} else if !g.Crashed() {
+			t.Fatalf("%v: schedule never reached the kill write", c)
+		}
 
-			// Recover from the surviving prefixes, the way OpenFileLog
-			// would: parse, truncate the torn tail, resume appending.
-			// Recovery must be deterministic: a second recovery of the
-			// same journals yields the identical state.
-			journals := tiercheck.Journals(logs)
-			allEmpty := true
-			for _, recs := range journals {
-				allEmpty = allEmpty && len(recs) == 0
+		// Recover from the surviving prefixes, the way OpenFileLog
+		// would: parse, truncate the torn tail, resume appending.
+		// Recovery must be deterministic: a second recovery of the
+		// same journals yields the identical state.
+		journals := tiercheck.Journals(logs)
+		allEmpty := true
+		for _, recs := range journals {
+			allEmpty = allEmpty && len(recs) == 0
+		}
+		rec1, err := tiercheck.RecoverTwice(journals, rws, ShardedConfig{})
+		if err != nil {
+			if allEmpty && errors.Is(err, ErrEmptyJournal) {
+				continue // nothing was ever acknowledged; nothing to recover
 			}
-			rec1, err := tiercheck.RecoverTwice(journals, rws, ShardedConfig{})
-			if err != nil {
-				if allEmpty && errors.Is(err, ErrEmptyJournal) {
-					continue // nothing was ever acknowledged; nothing to recover
-				}
-				t.Fatalf("kill=%d tear=%d: %v", kill, tear, err)
-			}
+			t.Fatalf("%v: %v", c, err)
+		}
 
-			// Frontier reconciliation: every journal now agrees on the
-			// adv count and close marker.
-			wantAdvs, wantClosed := journalFrontier(t, logs[0])
-			for i := 1; i < shards; i++ {
-				advs, closed := journalFrontier(t, logs[i])
-				if advs != wantAdvs || closed != wantClosed {
-					t.Fatalf("kill=%d tear=%d: shard %d rolled to (advs=%d closed=%v), shard 0 to (advs=%d closed=%v)",
-						kill, tear, i, advs, closed, wantAdvs, wantClosed)
-				}
-			}
-			if got := int(rec1.Now()); got != wantAdvs {
-				t.Fatalf("kill=%d tear=%d: recovered Now()=%d but journals hold %d adv markers", kill, tear, got, wantAdvs)
-			}
-
-			// Continuation: blindly re-driving the whole script must end
-			// byte-identical to the run that never crashed.
-			if _, err := tiercheck.Drive(rec1, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
-				t.Fatal(err)
-			}
-			if got := tiercheck.Snapshot(rec1); got != final {
-				t.Fatalf("kill=%d tear=%d: continuation diverged from the uncrashed run\n--- recovered+continued ---\n%s--- uncrashed ---\n%s",
-					kill, tear, got, final)
+		// Frontier reconciliation: every journal now agrees on the
+		// adv count and close marker.
+		wantAdvs, wantClosed := journalFrontier(t, logs[0])
+		for i := 1; i < shards; i++ {
+			advs, closed := journalFrontier(t, logs[i])
+			if advs != wantAdvs || closed != wantClosed {
+				t.Fatalf("%v: shard %d rolled to (advs=%d closed=%v), shard 0 to (advs=%d closed=%v)",
+					c, i, advs, closed, wantAdvs, wantClosed)
 			}
 		}
+		if got := int(rec1.Now()); got != wantAdvs {
+			t.Fatalf("%v: recovered Now()=%d but journals hold %d adv markers", c, got, wantAdvs)
+		}
+
+		// Continuation: blindly re-driving the whole script must end
+		// byte-identical to the run that never crashed.
+		if _, err := tiercheck.Drive(rec1, sc, tiercheck.Tolerant, tiercheck.Hooks{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tiercheck.Snapshot(rec1); got != final {
+			t.Fatalf("%v: continuation diverged from the uncrashed run\n--- recovered+continued ---\n%s--- uncrashed ---\n%s",
+				c, got, final)
+		}
+
 	}
 }
 
@@ -154,9 +221,9 @@ func TestShardedRecoverRollForward(t *testing.T) {
 	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
 	logs, rws := tiercheck.MemWriters(n)
 	g := NewCrashGroup()
-	// Writes: 0,1 = configs; 2,3 = one bid per shard; 4 = shard 0 adv;
-	// 5 = shard 1 adv — the kill write.
-	g.KillAtWrite(5, 0)
+	// Writes: 0,1 = each shard's config record grouped with its bid;
+	// 2 = shard 0 adv; 3 = shard 1 adv — the kill write.
+	g.KillAtWrite(3, 0)
 	ws := make([]io.Writer, n)
 	for i := range ws {
 		ws[i] = NewFaultWriterInGroup(logs[i], FaultPlan{}, g)

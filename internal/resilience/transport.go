@@ -66,9 +66,11 @@ type ShardInfo struct {
 	Game    string    `json:"game"`
 	Horizon core.Slot `json:"horizon"`
 	Opts    []OptCost `json:"opts,omitempty"`
-	// Seq is the shard journal's last assigned sequence number.
+	// Seq is the shard journal's last assigned sequence number. Seq, Now,
+	// Closed and Bids include the records of the journal's pending group,
+	// which no call has acknowledged yet.
 	Seq uint64 `json:"seq"`
-	// Now is the shard's last durable settlement window.
+	// Now is the shard's last settlement window.
 	Now    core.Slot `json:"now"`
 	Closed bool      `json:"closed,omitempty"`
 	// Bids counts fresh (non-duplicate) bid records journaled.
@@ -124,9 +126,12 @@ type ShardHost struct {
 	// period: a departed user's duplicate, or a pre-close bid's, is still
 	// recognized.
 	seen appendmap.Map[[sha256.Size]byte, uint64]
-	// closing is set once the close marker is journaled.
+	// closing is set once the close marker is enqueued.
 	closing bool
 	bids    uint64
+	// marker is the sequence number of the last adv or close marker, for
+	// which a repeated marker delivery waits.
+	marker uint64
 }
 
 // newShardHost builds the in-memory host for the shard that cfg (its
@@ -139,7 +144,12 @@ func newShardHost(cfg Record, kind sharedopt.GameKind, j *Journal) *ShardHost {
 }
 
 // NewShardHost opens a fresh shard whose journal on w opens with the
-// shard's config record.
+// shard's config record. The record is enqueued, not written: it
+// becomes durable with the shard's first group, before anything after
+// it is acknowledged, so opening a shard costs no write. A shard that
+// dies before that leaves an empty journal, which recovery treats as a
+// creation crash, and a failed first group surfaces as ErrJournalBroken
+// on the first submit or marker.
 func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizon core.Slot, shard, shards int, w io.Writer) (*ShardHost, error) {
 	if kind != sharedopt.Additive && kind != sharedopt.Substitutive {
 		return nil, fmt.Errorf("resilience: unknown game kind %v", kind)
@@ -152,7 +162,7 @@ func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizo
 	}
 	cfg := shardConfigRecord(kind, opts, horizon, shard, shards)
 	h := newShardHost(cfg, kind, NewJournal(w))
-	if err := h.j.Append(cfg); err != nil {
+	if _, err := h.j.enqueue(cfg.canonical()); err != nil {
 		return nil, fmt.Errorf("resilience: shard %d: %w", shard, err)
 	}
 	return h, nil
@@ -224,9 +234,11 @@ func (h *ShardHost) replay(rec Record) error {
 		}
 		h.v.Advance()
 		h.releaseIfClosed()
+		h.marker = rec.Seq
 	case KindClosePeriod:
 		h.closing = true
 		h.releaseIfClosed()
+		h.marker = rec.Seq
 	default:
 		return fmt.Errorf("resilience: corrupt journal: unexpected %s record %d", rec.Kind, rec.Seq)
 	}
@@ -244,6 +256,7 @@ func (h *ShardHost) releaseIfClosed() {
 	if h.closed() {
 		h.v.Close()
 		h.seen.Clip()
+		h.j.release()
 	}
 }
 
@@ -318,7 +331,10 @@ func unavailableErr(err error) error {
 // accept-then-journal protocol with digest dedup. The record is rebuilt
 // in canonical form first, so a delivery's digest is the same whichever
 // transport carried it. A fresh bid is marshaled once: the same
-// canonical payload yields its digest and its journal line.
+// canonical payload yields its digest and its journal line. Admission,
+// dedup and enqueueing happen under h.mu; the wait for the record's
+// group to be written does not, so concurrent submissions share one
+// write. A duplicate is acknowledged only once its original is durable.
 func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SubmitResult{}, unavailableErr(err)
@@ -334,6 +350,19 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 	if got := ShardFor(rec.User, h.shards); got != h.shard {
 		return SubmitResult{}, fmt.Errorf("resilience: user %d routes to shard %d, delivered to shard %d", rec.User, got, h.shard)
 	}
+	res, err := h.enqueueBid(rec)
+	if err != nil {
+		return SubmitResult{}, err
+	}
+	if err := h.j.waitDurable(res.Seq); err != nil {
+		return SubmitResult{}, h.brokenErr(err)
+	}
+	return res, nil
+}
+
+// enqueueBid is Submit's part under h.mu: dedup, admit, and enqueue a
+// fresh bid's record, returning the Seq to acknowledge once durable.
+func (h *ShardHost) enqueueBid(rec Record) (SubmitResult, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err := h.errIfBroken(); err != nil {
@@ -347,7 +376,7 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 	if err := h.admit(rec); err != nil {
 		return SubmitResult{}, err
 	}
-	seq, err := h.j.appendCanonical(canonical)
+	seq, err := h.j.enqueue(canonical)
 	if err != nil {
 		return SubmitResult{}, h.brokenErr(err)
 	}
@@ -363,49 +392,80 @@ func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error
 // marker deliveries safe. A gap of more than one window means the
 // caller and shard disagree on history — a protocol error, not a
 // transient. The marker moves the validator's clock; nothing is priced
-// here.
+// here. Like a bid, the marker is enqueued under h.mu and waited for
+// outside it; a repeated delivery waits for the last marker too.
 func (h *ShardHost) Advance(ctx context.Context, window int) error {
 	if err := ctx.Err(); err != nil {
 		return unavailableErr(err)
 	}
+	seq, err := h.enqueueAdvance(window)
+	if err != nil {
+		return err
+	}
+	return h.brokenErr(h.j.waitDurable(seq))
+}
+
+// enqueueAdvance is Advance's part under h.mu. It returns the sequence
+// number of the marker that makes window durable.
+func (h *ShardHost) enqueueAdvance(window int) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := int(h.v.Now())
 	switch {
 	case now >= window:
-		return nil
+		return h.marker, nil
 	case now == window-1:
 		if err := h.errIfBroken(); err != nil {
-			return err
+			return 0, err
 		}
 		if h.closed() {
-			return sharedopt.ErrPeriodOver
+			return 0, sharedopt.ErrPeriodOver
 		}
 		h.v.Advance()
 		h.releaseIfClosed()
-		return h.brokenErr(h.j.Append(Record{Kind: KindAdvanceSlot}))
+		return h.enqueueMarker(KindAdvanceSlot)
 	default:
-		return fmt.Errorf("resilience: shard %d at window %d asked to advance to %d", h.shard, now, window)
+		return 0, fmt.Errorf("resilience: shard %d at window %d asked to advance to %d", h.shard, now, window)
 	}
 }
 
+// enqueueMarker enqueues an adv or close marker under h.mu.
+func (h *ShardHost) enqueueMarker(kind RecordKind) (uint64, error) {
+	seq, err := h.j.enqueue(Record{Kind: kind}.canonical())
+	if err != nil {
+		return 0, h.brokenErr(err)
+	}
+	h.marker = seq
+	return seq, nil
+}
+
 // ClosePeriod implements ShardTransport. It is idempotent: a period
-// already over journals nothing.
+// already over journals nothing, and acknowledges once the marker that
+// ended it is durable.
 func (h *ShardHost) ClosePeriod(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return unavailableErr(err)
 	}
+	seq, err := h.enqueueClose()
+	if err != nil {
+		return err
+	}
+	return h.brokenErr(h.j.waitDurable(seq))
+}
+
+// enqueueClose is ClosePeriod's part under h.mu.
+func (h *ShardHost) enqueueClose() (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err := h.errIfBroken(); err != nil {
-		return err
+		return 0, err
 	}
 	if h.closed() {
-		return nil
+		return h.marker, nil
 	}
 	h.closing = true
 	h.releaseIfClosed()
-	return h.brokenErr(h.j.Append(Record{Kind: KindClosePeriod}))
+	return h.enqueueMarker(KindClosePeriod)
 }
 
 // Stats implements ShardTransport.
