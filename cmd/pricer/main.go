@@ -1,19 +1,14 @@
 // Command pricer prices a JSON-described game with the paper's
 // mechanisms and, optionally, compares against the regret baseline. With
-// -chaos it instead runs seeded fault-injection sweeps over the durable
-// pricing tier (see chaos.go) and exits non-zero on any invariant
-// violation. With -load it runs an open-loop saturation sweep against a
-// live sharded tier (see load.go), reporting sustained throughput and
-// the knee of the latency curve.
+// -load it instead runs an open-loop saturation sweep against a live
+// sharded tier (see load.go), reporting sustained throughput and the
+// knee of the latency curve.
 //
 // Usage:
 //
 //	pricer -f scenario.json
 //	pricer -f scenario.json -compare-regret
 //	cat scenario.json | pricer
-//	pricer -chaos -seed 7 -rounds 32
-//	pricer -chaos-net -seed 7 -rounds 8
-//	pricer -chaos-seed-file failing_seeds.txt -rounds 4
 //	pricer -load -shards 4 -rates 500,2500,10000,50000 -o LOAD_4shard.json
 //
 // Scenario format (amounts are dollar strings like "2.31"):
@@ -66,14 +61,9 @@ func main() {
 	var (
 		file    = flag.String("f", "-", "scenario file (- for stdin)")
 		compare = flag.Bool("compare-regret", false, "also run the regret baseline")
-		chaos   = flag.Bool("chaos", false, "run seeded fault-injection sweeps instead of pricing a scenario")
-		seed    = flag.Uint64("seed", 1, "base seed for -chaos rounds and the -load schedule")
-		rounds  = flag.Int("rounds", 16, "number of -chaos rounds")
-
-		chaosNet = flag.Bool("chaos-net", false, "run seeded network-fault chaos over the TCP shard transport")
-		seedFile = flag.String("chaos-seed-file", "", "replay newline-separated seeds through the selected chaos sweeps; exits non-zero naming the first failing seed")
 
 		load        = flag.Bool("load", false, "run an open-loop saturation sweep over the sharded tier")
+		seed        = flag.Uint64("seed", 1, "-load: base seed for the arrival schedule")
 		shards      = flag.Int("shards", 4, "-load: shard count")
 		rates       = flag.String("rates", "500,2500,10000,50000", "-load: offered-rate ladder, bids/s, strictly increasing")
 		loadBids    = flag.Int("load-bids", 2000, "-load: scheduled bids per ladder step")
@@ -84,37 +74,6 @@ func main() {
 		requireKnee = flag.Bool("require-knee", false, "-load: exit non-zero if the ladder never saturates the tier")
 	)
 	flag.Parse()
-	if *chaos || *chaosNet || *seedFile != "" {
-		// With a seed file but neither sweep flag, replay seeds through
-		// both sweeps.
-		runFault := *chaos || (*seedFile != "" && !*chaosNet)
-		runNet := *chaosNet || (*seedFile != "" && !*chaos)
-		sweep := func(seed uint64) error {
-			if runFault {
-				if err := runChaos(seed, *rounds, os.Stdout); err != nil {
-					return err
-				}
-			}
-			if runNet {
-				if err := runNetChaos(seed, *rounds, os.Stdout); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if *seedFile != "" {
-			if err := replaySeedFile(*seedFile, sweep, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "pricer: chaos:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := sweep(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, "pricer: chaos:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *load {
 		ladder, err := parseRates(*rates)
 		if err != nil {

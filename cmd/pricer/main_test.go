@@ -104,3 +104,66 @@ func TestPricerRejectsBadScenarios(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestPricerRejectsMixedBidShapes pins the malformed-scenario messages:
+// an additive bid carrying "opts", a substitutive bid carrying "opt",
+// and bids naming no optimization at all must all fail with a message
+// that tells the author which field to use.
+func TestPricerRejectsMixedBidShapes(t *testing.T) {
+	cases := []struct {
+		name, body, wantMsg string
+	}{
+		{
+			name: "additive bid with opts",
+			body: `{"kind": "additive", "horizon": 1,
+			  "optimizations": [{"id":1,"cost":"1"}],
+			  "bids": [{"user":3,"opts":[1],"start":1,"end":1,"values":["2"]}]}`,
+			wantMsg: `additive bid for user 3 carries "opts"`,
+		},
+		{
+			name: "additive bid without opt",
+			body: `{"kind": "additive", "horizon": 1,
+			  "optimizations": [{"id":1,"cost":"1"}],
+			  "bids": [{"user":4,"start":1,"end":1,"values":["2"]}]}`,
+			wantMsg: `additive bid for user 4 names no optimization`,
+		},
+		{
+			name: "substitutive bid with opt",
+			body: `{"kind": "substitutive", "horizon": 1,
+			  "optimizations": [{"id":1,"cost":"1"}],
+			  "bids": [{"user":5,"opt":1,"start":1,"end":1,"values":["2"]}]}`,
+			wantMsg: `substitutive bid for user 5 carries "opt"`,
+		},
+		{
+			name: "substitutive bid without opts",
+			body: `{"kind": "substitutive", "horizon": 1,
+			  "optimizations": [{"id":1,"cost":"1"}],
+			  "bids": [{"user":6,"start":1,"end":1,"values":["2"]}]}`,
+			wantMsg: `substitutive bid for user 6 names no optimizations`,
+		},
+		{
+			name: "bad money names the bidder",
+			body: `{"kind": "additive", "horizon": 1,
+			  "optimizations": [{"id":1,"cost":"1"}],
+			  "bids": [{"user":7,"opt":1,"start":1,"end":1,"values":["oops"]}]}`,
+			wantMsg: `bid for user 7`,
+		},
+		{
+			name:    "unknown kind names the alternatives",
+			body:    `{"kind": "quadratic", "horizon": 1, "optimizations": [], "bids": []}`,
+			wantMsg: `unknown kind "quadratic" (want additive or substitutive)`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeScenario(t, tc.body)
+			err := run(path, false, &strings.Builder{})
+			if err == nil {
+				t.Fatal("malformed scenario accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("error %q does not contain %q", err, tc.wantMsg)
+			}
+		})
+	}
+}

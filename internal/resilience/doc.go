@@ -1,8 +1,8 @@
 // Package resilience is the durable pricing tier around the online
 // mechanisms: a checksummed bid journal, a sharded tier with per-shard
 // journals and partial-failure degradation, deterministic crash
-// recovery, retry with bounded admission, and seeded fault injection for
-// testing all of it.
+// recovery, and retry with bounded admission. Its tests inject seeded
+// journal faults into all of it.
 //
 // The paper's guarantees — truthfulness and exact cost recovery — are
 // economic statements about the set of accepted bids. A provider that
@@ -119,9 +119,9 @@
 // it; anything else is a definitive mechanism rejection. The client
 // layers bounded seeded-jitter retries (RetryIf), a per-shard circuit
 // breaker that converts a failing shard's timeout storms into fast
-// typed failures with single-probe half-open recovery, and an optional
-// seeded network-fault injector (drops, duplicates, reorders, resets)
-// for chaos drills — cmd/pricer's -chaos-net mode asserts faulted TCP
+// typed failures with single-probe half-open recovery. The transport
+// package's FuzzNetChaos drives the tier over TCP under seeded network
+// faults (drops, duplicates, reorders, resets) and asserts faulted
 // rounds settle byte-identical to fault-free loopback references. See
 // the transport package documentation for the wire format.
 //
@@ -141,17 +141,20 @@
 //
 // # Fault injection
 //
-// FaultWriter executes a FaultPlan — a clean write error, a short write
-// with a lying nil error, or a mid-record crash that tears the tail and
-// kills all later writes — against any journal target, and RandomPlan
-// draws seeded schedules for sweeps. For the sharded tier,
-// RandomShardPlans draws one independent plan per shard, and CrashGroup
+// Fault injection is test code: the injectors live in this package's
+// faultinject_test.go and none ships in the tier. A faulting writer
+// wraps any journal target and executes one seeded fault plan — a
+// clean write error, a short write with a lying nil error, or a
+// mid-group crash that tears the tail and kills all later writes. For
+// the sharded tier each shard draws its own plan, and a crash group
 // links the per-shard writers into one simulated process: any member
-// crash (or a global write budget, KillAtWrite) stops every journal at
-// the same instant, tearing at most one record on one shard — the
-// cross-shard interleaving crash recovery must reconcile. cmd/pricer's
-// chaos mode drives randomized workloads through the tier at N ∈
-// {1, 2, 4, 8} under these plans, recovers, and asserts on every
-// schedule the invariant set internal/tiercheck owns: accounting,
-// durability, deterministic recovery, invoicing and cost recovery.
+// crash (or a group-wide write budget) stops every journal at the same
+// instant, tearing at most one group on one shard — the cross-shard
+// interleaving crash recovery must reconcile. The fuzz target
+// FuzzShardedChaos drives randomized workloads through the tier at
+// N ∈ {1, 2, 4, 8} under these plans, one round per seed, recovers,
+// and asserts on every schedule the invariant set internal/tiercheck
+// owns: accounting, durability, deterministic recovery, invoicing and
+// cost recovery. A go test -fuzz soak saves failing seeds under
+// testdata/fuzz/, where plain go test replays them.
 package resilience

@@ -1,5 +1,11 @@
 package resilience
 
+// Journal fault injection, compiled into this package's tests only. The
+// resilience_test harnesses and FuzzShardedChaos wrap each shard's
+// journal target in a FaultWriter that fails, tears or kills one of its
+// writes, and a CrashGroup kills every shard of one simulated process at
+// once.
+
 import (
 	"errors"
 	"fmt"
@@ -73,7 +79,7 @@ type FaultPlan struct {
 	Tear   int
 }
 
-// String renders the plan compactly for chaos-mode output.
+// String renders the plan compactly for test logs.
 func (p FaultPlan) String() string {
 	if p.Kind == FaultNone {
 		return "none"

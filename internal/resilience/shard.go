@@ -589,13 +589,17 @@ func (s *ShardedService) foldFrozenLocked(i int, frozen []pendingBid) {
 // the batch unless a later retry already batched it. One the shard never
 // saw is journaled now or definitively rejected. Returns false if the
 // shard is unreachable — the round cannot mark it yet. s.mu and sh.mu
-// held.
+// held, with sh.settling set and no submission in flight: sh.mu is
+// released across each resubmission, and nothing else touches the
+// in-doubt list or the batch meanwhile.
 func (s *ShardedService) resolveIndoubtLocked(i int, sh *shard) bool {
 	for len(sh.indoubt) > 0 {
 		in := sh.indoubt[0]
+		sh.mu.Unlock()
 		ctx, cancel := s.callCtx()
 		res, err := sh.link.Submit(ctx, in.rec)
 		cancel()
+		sh.mu.Lock()
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrShardUnavailable):
@@ -716,6 +720,10 @@ func (s *ShardedService) settleRoundLocked(closing bool) (core.SlotReport, error
 			// window — those bids precede the marker in the journal.
 			sh.frozen = append(sh.frozen, sh.batch...)
 			sh.batch = nil
+			// The gate holds submitters off, so the marker call runs
+			// without sh.mu: a slow shard does not block readers of its
+			// state (ShardStats, Wedged) for the call's deadline.
+			sh.mu.Unlock()
 			ctx, cancel := s.callCtx()
 			var err error
 			if closing {
@@ -724,6 +732,7 @@ func (s *ShardedService) settleRoundLocked(closing bool) (core.SlotReport, error
 				err = sh.link.Advance(ctx, window)
 			}
 			cancel()
+			sh.mu.Lock()
 			switch {
 			case err == nil:
 				sh.marked = true

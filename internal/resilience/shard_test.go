@@ -398,3 +398,67 @@ func TestShardedGatedSubmitPrecedesNextRound(t *testing.T) {
 		t.Fatalf("counters %+v, want both bids accepted and settled", st)
 	}
 }
+
+// blockedLink holds every Submit and Advance until release, announcing
+// each on entered, like a TCP shard whose calls run to their deadline.
+type blockedLink struct {
+	ShardTransport
+	entered chan string
+	release chan struct{}
+}
+
+func (l *blockedLink) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
+	l.entered <- "in-doubt resubmission"
+	<-l.release
+	return l.ShardTransport.Submit(ctx, rec)
+}
+
+func (l *blockedLink) Advance(ctx context.Context, window int) error {
+	l.entered <- "advance marker"
+	<-l.release
+	return l.ShardTransport.Advance(ctx, window)
+}
+
+// TestShardReadersAnswerDuringSlowSettlement: while settlement waits on
+// a slow shard's in-doubt resubmission or marker call, ShardStats and
+// Wedged still answer at once instead of queueing behind the call.
+func TestShardReadersAnswerDuringSlowSettlement(t *testing.T) {
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(2)}}
+	h, err := NewShardHost(sharedopt.Additive, catalog, 4, 0, 1, new(MemLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShardedServiceOver(sharedopt.Additive, catalog, 4, []ShardTransport{&lossyLink{ShardTransport: h, lose: 1}}, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.SubmitAdditiveBid(1, shardBid(1)); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("lost reply: %v, want ErrShardUnavailable", err)
+	}
+	link := &blockedLink{ShardTransport: h, entered: make(chan string), release: make(chan struct{})}
+	SwapLink(ss, 0, link)
+
+	advanced := make(chan error, 1)
+	go func() { _, err := ss.AdvanceSlot(); advanced <- err }()
+	for range 2 {
+		call := <-link.entered
+		answered := make(chan struct{})
+		go func() {
+			ss.ShardStats()
+			ss.Wedged(0)
+			close(answered)
+		}()
+		select {
+		case <-answered:
+		case <-time.After(time.Second):
+			t.Errorf("ShardStats and Wedged blocked for 1s behind the %s", call)
+		}
+		link.release <- struct{}{}
+	}
+	if err := <-advanced; err != nil {
+		t.Fatalf("settlement: %v", err)
+	}
+	if st := ss.ShardStats()[0]; st.Accepted != 1 || st.Settled != 1 {
+		t.Fatalf("counters %+v, want the in-doubt bid accepted and settled", st)
+	}
+}

@@ -18,7 +18,8 @@ import (
 type ClientConfig struct {
 	// Dial opens a connection to the shard's server. It is re-invoked
 	// after every connection loss, so a closure reading a mutable
-	// address lets chaos harnesses restart the server elsewhere.
+	// address lets a test restart the server elsewhere, and a wrapper
+	// around the returned conn can inject network faults.
 	Dial func() (net.Conn, error)
 	// CallTimeout bounds calls whose context has no deadline of its
 	// own. 0 means 2s.
@@ -30,9 +31,6 @@ type ClientConfig struct {
 	// Breaker, when set, wraps every attempt: consecutive unavailable
 	// outcomes trip it and further attempts fail fast. Nil disables.
 	Breaker *Breaker
-	// Fault, when set, injects seeded network faults into the send
-	// path. Nil disables.
-	Fault *NetFault
 	// Obs, when set, registers the shard<Shard>.net_* metrics.
 	Obs *obs.Registry
 	// Shard names the metric prefix; it does not affect routing.
@@ -197,8 +195,7 @@ func (c *ShardClient) attempt(ctx context.Context, req request) (response, error
 	return resp, err
 }
 
-// roundTrip sends one request frame and waits for its reply, applying
-// any injected fault on the way out.
+// roundTrip sends one request frame and waits for its reply.
 func (c *ShardClient) roundTrip(ctx context.Context, req request) (response, error) {
 	start := time.Now()
 	q, gen, err := c.ensureConn()
@@ -223,35 +220,10 @@ func (c *ShardClient) roundTrip(ctx context.Context, req request) (response, err
 	c.pmu.Unlock()
 	c.om.requests.Inc()
 
-	kind, delay := c.cfg.Fault.draw()
-	if delay > 0 && !sleepCtx(ctx, delay) {
+	if err := q.enqueue(frame); err != nil {
 		c.unregister(req.ID)
-		return response{}, fmt.Errorf("%w: %w", resilience.ErrShardUnavailable, ctx.Err())
-	}
-	switch kind {
-	case faultDrop:
-		// The frame never reaches the wire; the deadline wait below is
-		// the loss surfacing.
-	case faultDup:
-		if q.enqueue(frame) == nil {
-			q.enqueue(frame) //nolint:errcheck // second copy is best-effort
-		}
-	case faultReorder:
-		// Send late and asynchronously, letting a later request
-		// overtake this one on the wire.
-		go func() {
-			time.Sleep(time.Millisecond)
-			q.enqueue(frame) //nolint:errcheck // loss surfaces as deadline expiry
-		}()
-	case faultReset:
-		q.enqueue(frame) //nolint:errcheck // the teardown is the fault
 		c.teardown(gen)
-	default:
-		if err := q.enqueue(frame); err != nil {
-			c.unregister(req.ID)
-			c.teardown(gen)
-			return response{}, fmt.Errorf("%w: write: %w", resilience.ErrShardUnavailable, err)
-		}
+		return response{}, fmt.Errorf("%w: write: %w", resilience.ErrShardUnavailable, err)
 	}
 
 	select {
@@ -351,17 +323,4 @@ func (c *ShardClient) unregister(id uint64) {
 	c.pmu.Lock()
 	delete(c.pending, id)
 	c.pmu.Unlock()
-}
-
-// sleepCtx sleeps d or until ctx ends, reporting whether the full sleep
-// happened.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

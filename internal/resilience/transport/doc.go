@@ -46,10 +46,12 @@
 //
 // # Fault injection
 //
-// NetFault is the network analogue of resilience.FaultWriter: a seeded
-// schedule of request-level faults — added latency, silent drops,
-// duplicated deliveries, reordered sends, and connection resets —
-// injected in the client's send path. cmd/pricer's -chaos-net mode
-// drives a full tier over TCP under NetFault plus shard process kills
-// and asserts settlement stays byte-identical to the fault-free run.
+// The client carries no fault hook. The package's tests wrap the
+// client's connections through ClientConfig.Dial in a seeded injector
+// (netfault_test.go), the network analogue of resilience's test-side
+// journal faults: per-write added latency, silent drops, duplicated
+// writes, reordered writes, and connection resets. The fuzz target
+// FuzzNetChaos drives a full tier over TCP under those faults plus
+// shard process kills and asserts settlement stays byte-identical to
+// the fault-free run.
 package transport

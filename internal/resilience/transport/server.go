@@ -16,7 +16,7 @@ import (
 // its own goroutine against the host, so a slow settlement marker never
 // blocks submissions sharing the connection, and replies are
 // group-committed back through a frameQueue. Close is the process-kill
-// used by chaos runs: it stops the listener and severs every
+// the chaos tests use: it stops the listener and severs every
 // connection, leaving the host's journal as the only survivor.
 type ShardServer struct {
 	host resilience.ShardTransport
@@ -147,17 +147,6 @@ func (s *ShardServer) handle(req request) response {
 	}
 	resp.Code, resp.Err = encodeVerdict(err)
 	return resp
-}
-
-// BreakConns severs every live connection without stopping the listener
-// — the network blip of the chaos suite. In-flight calls fail
-// unavailable on the client and it redials.
-func (s *ShardServer) BreakConns() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for conn := range s.conns {
-		conn.Close()
-	}
 }
 
 // Close stops the listener, severs every connection, and waits for the

@@ -47,8 +47,9 @@ func newTestHost(t *testing.T, shard, shards int) (*resilience.ShardHost, *resil
 	return h, &m
 }
 
-// newTestPair serves host over TCP and returns a connected client.
-func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig) (*ShardServer, *ShardClient, *tiercheck.Addr) {
+// newTestPair serves host over TCP and returns a connected client whose
+// connections suffer fault's schedule (none when fault is nil).
+func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig, fault *NetFault) (*ShardServer, *ShardClient, *tiercheck.Addr) {
 	t.Helper()
 	srv := NewShardServer(host)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -58,6 +59,9 @@ func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig)
 	t.Cleanup(srv.Close)
 	box := tiercheck.NewAddr(addr)
 	cfg.Dial = box.Dial
+	if fault != nil {
+		cfg.Dial = fault.WrapDial(box.Dial)
+	}
 	cli, err := NewShardClient(cfg)
 	if err != nil {
 		t.Fatalf("NewShardClient: %v", err)
@@ -72,7 +76,7 @@ func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig)
 // broken), and markers stay idempotent across the wire.
 func TestTCPRoundTrip(t *testing.T) {
 	host, _ := newTestHost(t, 0, 1)
-	_, cli, _ := newTestPair(t, host, ClientConfig{})
+	_, cli, _ := newTestPair(t, host, ClientConfig{}, nil)
 	ctx := context.Background()
 
 	info, err := cli.Stats(ctx)
@@ -152,7 +156,7 @@ func TestTCPDeadlinePropagation(t *testing.T) {
 	_, cli, _ := newTestPair(t, host, ClientConfig{
 		CallTimeout: 50 * time.Millisecond,
 		Retry:       resilience.Backoff{Attempts: 1},
-	})
+	}, nil)
 
 	start := time.Now()
 	_, err := cli.Submit(context.Background(), abid(1, 1, 1, 1, 100))
@@ -175,10 +179,7 @@ func TestTCPDeadlinePropagation(t *testing.T) {
 func TestDuplicateDeliveryDedup(t *testing.T) {
 	host, m := newTestHost(t, 0, 1)
 	reg := obs.NewRegistry()
-	_, cli, _ := newTestPair(t, host, ClientConfig{
-		Fault: NewNetFault(NetFaultConfig{Dup: 1}, 11),
-		Obs:   reg,
-	})
+	_, cli, _ := newTestPair(t, host, ClientConfig{Obs: reg}, NewNetFault(NetFaultConfig{Dup: 1}, 11))
 	ctx := context.Background()
 
 	const bids = 5
@@ -349,7 +350,7 @@ func TestClientBreakerFastFail(t *testing.T) {
 		Retry:       resilience.Backoff{Attempts: 1},
 		Breaker:     br,
 		Obs:         reg,
-	})
+	}, nil)
 	ctx := context.Background()
 	srv.Close()
 
@@ -400,7 +401,7 @@ func TestServerKillRecoverRestart(t *testing.T) {
 		CallTimeout: 100 * time.Millisecond,
 		Retry:       resilience.Backoff{Attempts: 1},
 		Obs:         reg,
-	})
+	}, nil)
 	ctx := context.Background()
 
 	var seqs []uint64
@@ -481,11 +482,10 @@ func TestShardedOverTCPByteIdentical(t *testing.T) {
 		_, cli, _ := newTestPair(t, h, ClientConfig{
 			CallTimeout: 250 * time.Millisecond,
 			Retry:       resilience.Backoff{Attempts: 4, Base: time.Millisecond, Cap: 5 * time.Millisecond, Jitter: 0.5, Seed: uint64(i)},
-			Fault: NewNetFault(NetFaultConfig{
-				Dup: 0.15, Reorder: 0.1, DelayMax: 500 * time.Microsecond,
-			}, 1000+uint64(i)),
-			Shard: i,
-		})
+			Shard:       i,
+		}, NewNetFault(NetFaultConfig{
+			Dup: 0.15, Reorder: 0.1, DelayMax: 500 * time.Microsecond,
+		}, 1000+uint64(i)))
 		links[i] = cli
 	}
 	tcp, err := resilience.NewShardedServiceOver(sc.Kind, catalog, sc.Horizon, links, resilience.ShardedConfig{CallTimeout: 250 * time.Millisecond})
@@ -539,7 +539,7 @@ func TestNetFaultDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("summaries diverged: %q vs %q", a, b)
 	}
-	if !strings.Contains(a.String(), "reqs=200") {
+	if !strings.Contains(a.String(), "writes=200") {
 		t.Fatalf("summary %q", a)
 	}
 }
@@ -556,7 +556,7 @@ func TestHandshakeRejectsMisroutedLink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("host %d: %v", i, err)
 		}
-		_, cli, _ := newTestPair(t, h, ClientConfig{})
+		_, cli, _ := newTestPair(t, h, ClientConfig{}, nil)
 		links[i] = cli
 	}
 	_, err := resilience.NewShardedServiceOver(sharedopt.Additive, catalog, 4, links, resilience.ShardedConfig{})

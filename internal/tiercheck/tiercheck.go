@@ -1,9 +1,10 @@
 // Package tiercheck is the durable pricing tier's oracle, shared by every
-// tier harness: the resilience and transport tests and pricer's -chaos,
-// -chaos-net and -load drills. It owns one canonical snapshot of priced
-// state (Snapshot), one seeded workload script for both game kinds and
-// the loop that plays it (NewScript, Drive), a client-side tally of
-// submission outcomes (Tally), and the tier's invariant set.
+// tier harness: the resilience and transport tests, their chaos fuzz
+// targets (FuzzShardedChaos, FuzzNetChaos) and pricer's -load sweep. It
+// owns one canonical snapshot of priced state (Snapshot), one seeded
+// workload script for both game kinds and the loop that plays it
+// (NewScript, Drive), a client-side tally of submission outcomes
+// (Tally), and the tier's invariant set.
 //
 // The paper's cost recovery and truthfulness hold for the durable tier
 // only if every accepted bid is journaled and every journaled bid is
