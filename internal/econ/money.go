@@ -67,9 +67,6 @@ func (m Money) Add(n Money) Money { return m + n }
 // Sub returns m - n.
 func (m Money) Sub(n Money) Money { return m - n }
 
-// Neg returns -m.
-func (m Money) Neg() Money { return -m }
-
 // MulInt returns m scaled by an integer factor k.
 func (m Money) MulInt(k int64) Money { return m * Money(k) }
 

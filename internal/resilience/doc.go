@@ -16,16 +16,28 @@
 //
 // # Journal format
 //
-// A journal is a line-oriented append-only log. Each record is one line:
+// A journal is a line-oriented append-only text log. Each record is one
+// line, its fields separated by single spaces, integers in decimal and
+// money in exact integer micro-dollars:
 //
-//	<crc32-ieee-hex8> <payload-json>\n
+//	<crc32-hex8> shard <game> <horizon> <shard> <shards> <id>:<cost> …
+//	<crc32-hex8> abid <user> <opt> <start> <end> <value> …
+//	<crc32-hex8> sbid <user> <opt>,<opt>,… <start> <end> <value> …
+//	<crc32-hex8> adv
+//	<crc32-hex8> close
 //
-// The checksum covers the payload bytes. The payload is a Record: a
-// sequence number (strictly 1, 2, 3, …), a kind, and the operation's
-// arguments with all money in exact integer micro-dollars. A shard
-// journal opens with one "shard" config record (kind, horizon, catalog,
-// shard index and count) followed by that shard's accepted bids ("abid",
-// "sbid") and settlement markers ("adv", "close"). Records are written
+// An empty substitute set is "-". A record's sequence number (strictly
+// 1, 2, 3, …) is its line's position and is not written: the CRC-32
+// (IEEE) covers the sequence number as 8 big-endian bytes followed by
+// the payload, so a line verifies only at its own position. Each record
+// has exactly one line — the decoder refuses any payload that does not
+// re-encode to the same bytes — and a record the line cannot carry is
+// refused before it is journaled. A shard journal opens with one
+// "shard" config record (game, horizon, shard index and count, catalog)
+// followed by that shard's accepted bids ("abid", "sbid") and
+// settlement markers ("adv", "close"). OpenFileLog refuses a journal in
+// the JSON line format of earlier versions with ErrJournalFormat and
+// leaves the file as it is. Records are written
 // by group commit: each is enqueued in sequence order under the journal
 // lock, and a caller waiting for an unwritten record that finds no write
 // in progress writes every pending record as a single Write to the log
@@ -48,15 +60,17 @@
 // sets) to its users' declared curves, digest dedup makes a
 // resubmission idempotent, and an admitted bid is journaled before it is
 // acknowledged. Dedup keys on the SHA-256 of the record's canonical
-// payload (Seq zeroed) and maps it to the record's sequence in an
-// insert-only internal/appendmap table, whose index is hashed under a
-// per-shard seed and whose hits compare the whole digest; that payload
-// is marshaled once per fresh bid and also yields the journal line. The router tells a duplicate acknowledgment from a fresh one by
-// the sequence it carries, and digests a record only when a transport
-// failure leaves it in doubt. No shard runs the mechanism. Slot settlement makes one
-// adv marker durable per shard, then folds every shard's batch into the
-// single derived settlement service in shard-index order, bids within a
-// shard in journal order, and runs the mechanism there, once per slot.
+// payload (the line without its checksum) and maps it to the record's
+// sequence in an insert-only internal/appendmap table, whose index is
+// hashed under a per-shard seed and whose hits compare the whole
+// digest; that payload is encoded once per fresh bid and also becomes
+// the journal line. The router tells a duplicate acknowledgment from a
+// fresh one by the sequence it carries, and digests a record only when
+// a transport failure leaves it in doubt. No shard runs the mechanism.
+// Slot settlement makes one adv marker durable per shard, then folds
+// every shard's batch into the single derived settlement service in
+// shard-index order, bids within a shard in journal order, and runs the
+// mechanism there, once per slot.
 // Because the mechanisms price the per-window accepted-bid SET, invoices,
 // revenue, surplus, and the implemented set are byte-identical to one
 // plain Service at any N — property-tested at N ∈ {1, 2, 4, 8}.

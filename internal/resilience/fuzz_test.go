@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"sharedopt/internal/core"
@@ -11,7 +13,9 @@ import (
 // FuzzReadJournal hammers the journal parser with mutated journal
 // images. Whatever the bytes, the crash contract must hold: never
 // panic, never yield a record past the first damage, always report a
-// consumed prefix that re-parses cleanly and can be appended to.
+// consumed prefix that re-parses cleanly and can be appended to. Every
+// record yielded re-encodes to exactly the line it came from, so each
+// record has one journal line.
 func FuzzReadJournal(f *testing.F) {
 	var m MemLog
 	j := NewJournal(&m)
@@ -29,14 +33,17 @@ func FuzzReadJournal(f *testing.F) {
 	flipped[12] ^= 0x40 // payload corruption under an intact frame
 	f.Add(flipped)
 	// A bid framed by the encode-once path, as ShardHost.Submit writes it.
-	once, err := appendFrame(nil, uint64(len(testRecords()))+1, Record{Kind: KindSubstBid, User: 3,
-		Set: []core.OptID{1, 2}, Start: 2, End: 2, Values: []econ.Money{econ.FromCents(75)}}.canonical())
-	if err != nil {
-		f.Fatal(err)
-	}
+	once := frameRecord(f, Record{Seq: uint64(len(testRecords())) + 1, Kind: KindSubstBid, User: 3,
+		Set: []core.OptID{1, 2}, Start: 2, End: 2, Values: []econ.Money{econ.FromCents(75)}})
 	f.Add(append(append([]byte(nil), valid...), once...))
 	f.Add([]byte("00000000 {}\n"))
 	f.Add([]byte("deadbeef {\"seq\":1,\"kind\":\"adv\"}\n"))
+	f.Add([]byte(jsonJournal))
+	// Payloads under valid checksums that are not canonical: a leading
+	// zero, a plus sign, a doubled space, an empty set spelled "".
+	for _, payload := range []string{"abid 07 1 1 1 5", "abid +7 1 1 1 5", "abid 7 1 1 1  5", "sbid 7  1 1 5", "adv "} {
+		f.Add(appendFrame(nil, 1, []byte(payload)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, consumed, torn := ReadJournal(data)
@@ -46,10 +53,16 @@ func FuzzReadJournal(f *testing.F) {
 		if torn != (consumed < len(data)) {
 			t.Fatalf("torn=%v but consumed %d of %d bytes", torn, consumed, len(data))
 		}
+		off := 0
 		for i, rec := range recs {
 			if rec.Seq != uint64(i+1) {
 				t.Fatalf("record %d carries seq %d: yielded past a sequence break", i, rec.Seq)
 			}
+			line := data[off : off+bytes.IndexByte(data[off:], '\n')+1]
+			if again := frameRecord(t, rec); !bytes.Equal(again, line) {
+				t.Fatalf("record %d re-encodes to %q, read from %q", i, again, line)
+			}
+			off += len(line)
 		}
 		// The consumed prefix is exactly the valid records: re-parsing
 		// it must be clean and identical.
@@ -59,7 +72,7 @@ func FuzzReadJournal(f *testing.F) {
 				torn2, consumed2, consumed, len(again), len(recs))
 		}
 		for i := range recs {
-			if !bytes.Equal(again[i].canonical(), recs[i].canonical()) || again[i].Seq != recs[i].Seq {
+			if !sameRecord(again[i], recs[i]) {
 				t.Fatalf("record %d differs on re-parse", i)
 			}
 		}
@@ -67,17 +80,100 @@ func FuzzReadJournal(f *testing.F) {
 		// the next sequence number extends the parse by exactly one.
 		next := Record{Seq: uint64(len(recs)) + 1, Kind: KindAdditiveBid,
 			User: 9, Opt: 1, Start: 1, End: 1, Values: []econ.Money{econ.FromCents(100)}}
-		frame, err := encodeRecord(next)
-		if err != nil {
-			t.Fatalf("encoding continuation record: %v", err)
-		}
-		extended := append(append([]byte(nil), data[:consumed]...), frame...)
+		extended := append(append([]byte(nil), data[:consumed]...), frameRecord(t, next)...)
 		extrecs, _, extTorn := ReadJournal(extended)
 		if extTorn {
 			t.Fatal("appending a valid continuation record left the journal torn")
 		}
 		if len(extrecs) != len(recs)+1 {
 			t.Fatalf("continuation parse yielded %d records, want %d", len(extrecs), len(recs)+1)
+		}
+	})
+}
+
+// FuzzRecordCodec drives structured records of every kind through
+// appendFrame and ReadJournal: a record the codec accepts comes back
+// equal, at any sequence number and nowhere else; one it refuses is a
+// config record whose game is not a token. Numbers are drawn from the
+// whole int64 range, eight bytes each; set, values and catalog may be
+// empty.
+func FuzzRecordCodec(f *testing.F) {
+	ints := func(ns ...int64) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = binary.LittleEndian.AppendUint64(b, uint64(n))
+		}
+		return b
+	}
+	f.Add(uint8(0), uint64(1), "additive", int64(3), int64(0), int64(1), int64(0), ints(1, 10_000_000))
+	f.Add(uint8(0), uint64(1), "two words", int64(3), int64(0), int64(1), int64(0), []byte(nil))
+	f.Add(uint8(1), uint64(2), "", int64(7), int64(1), int64(1), int64(2), ints(4_000_000, 4_000_000))
+	f.Add(uint8(1), uint64(9), "", int64(-7), int64(-1), int64(0), int64(0), ints(math.MinInt64, math.MaxInt64, -1))
+	f.Add(uint8(2), uint64(3), "", int64(0), int64(0), int64(0), int64(0), []byte(nil))
+	f.Add(uint8(3), uint64(4), "", int64(0), int64(0), int64(0), int64(0), []byte(nil))
+	f.Add(uint8(4), uint64(5), "", int64(8), int64(2), int64(2), int64(3), ints(2, 1, 2, 1_500_000, 0))
+	f.Add(uint8(4), uint64(math.MaxUint64), "", int64(math.MaxInt64), int64(0), int64(1), int64(1), []byte(nil))
+	f.Add(uint8(4), uint64(6), "", int64(1), int64(0), int64(1), int64(1), ints(0, -5))
+
+	f.Fuzz(func(t *testing.T, kind uint8, seq uint64, game string, a, b, c, d int64, list []byte) {
+		var nums []int64
+		for ; len(list) >= 8; list = list[8:] {
+			nums = append(nums, int64(binary.LittleEndian.Uint64(list)))
+		}
+		var rec Record
+		switch kind % 5 {
+		case 0:
+			rec = Record{Kind: KindShardConfig, Game: game, Horizon: core.Slot(a), Shard: int(b), Shards: int(c)}
+			for ; len(nums) >= 2; nums = nums[2:] {
+				rec.Opts = append(rec.Opts, OptCost{ID: core.OptID(nums[0]), Cost: econ.Money(nums[1])})
+			}
+		case 1:
+			rec = Record{Kind: KindAdditiveBid, User: core.UserID(a), Opt: core.OptID(b), Start: core.Slot(c), End: core.Slot(d)}
+			for _, n := range nums {
+				rec.Values = append(rec.Values, econ.Money(n))
+			}
+		case 2:
+			rec = Record{Kind: KindAdvanceSlot}
+		case 3:
+			rec = Record{Kind: KindClosePeriod}
+		case 4:
+			// The first number is the set's size.
+			rec = Record{Kind: KindSubstBid, User: core.UserID(a), Start: core.Slot(c), End: core.Slot(d)}
+			if len(nums) > 0 {
+				size := min(int(uint64(nums[0])%4), len(nums)-1)
+				for _, n := range nums[1 : 1+size] {
+					rec.Set = append(rec.Set, core.OptID(n))
+				}
+				for _, n := range nums[1+size:] {
+					rec.Values = append(rec.Values, econ.Money(n))
+				}
+			}
+		}
+		canonical, err := rec.canonical()
+		if err != nil {
+			if rec.Kind == KindShardConfig && !isToken(game) {
+				return
+			}
+			t.Fatalf("%+v refused: %v", rec, err)
+		}
+		if rec.Kind == KindShardConfig && !isToken(game) {
+			t.Fatalf("game %q encoded as %q", game, canonical)
+		}
+
+		rec.Seq = 1
+		recs, consumed, torn := ReadJournal(appendFrame(nil, 1, canonical))
+		if torn || len(recs) != 1 || !sameRecord(recs[0], rec) {
+			t.Fatalf("%+v read back as %+v (torn=%v, consumed %d)", rec, recs, torn, consumed)
+		}
+		rec.Seq = seq
+		line := appendFrame(nil, seq, canonical)
+		line = line[:len(line)-1]
+		got, err := decodeLine(line, seq)
+		if err != nil || !sameRecord(got, rec) {
+			t.Fatalf("%+v at seq %d decoded as %+v, %v", rec, seq, got, err)
+		}
+		if _, err := decodeLine(line, seq+1); err == nil {
+			t.Fatalf("line %q for seq %d decodes at seq %d", line, seq, seq+1)
 		}
 	})
 }

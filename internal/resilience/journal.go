@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -39,13 +38,17 @@ type OptCost struct {
 }
 
 // Record is one journal entry. Seq is assigned by the journal (strictly
-// increasing from 1); the remaining fields are populated per Kind:
+// increasing from 1) and is the record's position in it; the remaining
+// fields are populated per Kind:
 //
 //   - shard:   Game ("additive"/"substitutive"), Horizon, Opts (catalog),
 //     Shard (this journal's index) and Shards (the tier's shard count)
 //   - abid:    User, Opt, Start, End, Values
 //   - sbid:    User, Set (substitute set), Start, End, Values
 //   - adv/close: no payload — their effects are deterministic replays
+//
+// The JSON tags are the TCP wire's encoding; the journal line is the
+// positional payload canonical describes.
 type Record struct {
 	Seq     uint64       `json:"seq"`
 	Kind    RecordKind   `json:"kind"`
@@ -62,22 +65,158 @@ type Record struct {
 	Values  []econ.Money `json:"values,omitempty"`
 }
 
-// canonicalPrefix opens every canonical payload: Seq is Record's first
-// field and is never omitted, so the payload of the same record at any
-// sequence N is `{"seq":N` followed by the canonical payload after this
-// prefix.
-const canonicalPrefix = `{"seq":0`
-
-// canonical returns the record's JSON payload with the sequence number
-// zeroed — the bytes a duplicate submission shares with its first copy.
-func (r Record) canonical() []byte {
-	r.Seq = 0
-	payload, err := json.Marshal(r)
-	if err != nil {
-		// Record has no unmarshalable fields; this cannot happen.
-		panic(err)
+// canonical returns the record's journal payload: the kind token and
+// the fields the kind carries, separated by single spaces, integers in
+// decimal and money in micro-dollars:
+//
+//	shard <game> <horizon> <shard> <shards> <id>:<cost> …
+//	abid <user> <opt> <start> <end> <value> …
+//	sbid <user> <opt>,<opt>,… <start> <end> <value> …
+//	adv
+//	close
+//
+// An empty substitute set is written "-". Seq is not in the payload, so
+// the payload is also the identity a duplicate submission shares with
+// its first copy. A record the payload cannot carry back — an unknown
+// kind, a field its kind does not carry, or a game that is empty or
+// holds a space or control byte — is refused: whatever is journaled
+// decodes to the record it was.
+func (r Record) canonical() ([]byte, error) {
+	b := make([]byte, 0, 32+12*(len(r.Values)+len(r.Set)+2*len(r.Opts)))
+	rest := r // the fields the kind does not carry, which must be zero
+	b = append(b, r.Kind...)
+	switch r.Kind {
+	case KindShardConfig:
+		if !isToken(r.Game) {
+			return nil, fmt.Errorf("resilience: game %q is not a journal token", r.Game)
+		}
+		b = append(append(b, ' '), r.Game...)
+		b = appendInt(b, int64(r.Horizon))
+		b = appendInt(b, int64(r.Shard))
+		b = appendInt(b, int64(r.Shards))
+		for _, o := range r.Opts {
+			b = appendInt(b, int64(o.ID))
+			b = strconv.AppendInt(append(b, ':'), int64(o.Cost), 10)
+		}
+		rest.Game, rest.Horizon, rest.Opts, rest.Shard, rest.Shards = "", 0, nil, 0, 0
+	case KindAdditiveBid:
+		b = appendInt(b, int64(r.User))
+		b = appendInt(b, int64(r.Opt))
+		b = appendBid(b, r)
+		rest.User, rest.Opt, rest.Start, rest.End, rest.Values = 0, 0, 0, 0, nil
+	case KindSubstBid:
+		b = append(appendInt(b, int64(r.User)), ' ')
+		if len(r.Set) == 0 {
+			b = append(b, '-')
+		}
+		for i, o := range r.Set {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(o), 10)
+		}
+		b = appendBid(b, r)
+		rest.User, rest.Set, rest.Start, rest.End, rest.Values = 0, nil, 0, 0, nil
+	case KindAdvanceSlot, KindClosePeriod:
+	default:
+		return nil, fmt.Errorf("resilience: unknown record kind %q", r.Kind)
 	}
-	return payload
+	if !rest.bare() {
+		return nil, fmt.Errorf("resilience: %s record carries a field its kind does not", r.Kind)
+	}
+	return b, nil
+}
+
+// appendInt appends a space and n in decimal.
+func appendInt(b []byte, n int64) []byte { return strconv.AppendInt(append(b, ' '), n, 10) }
+
+// appendBid appends a bid record's start, end and values.
+func appendBid(b []byte, r Record) []byte {
+	b = appendInt(b, int64(r.Start))
+	b = appendInt(b, int64(r.End))
+	for _, v := range r.Values {
+		b = appendInt(b, int64(v))
+	}
+	return b
+}
+
+// isToken reports whether s can stand as one payload field: non-empty,
+// with no space or control byte.
+func isToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] <= ' ' || s[i] == 0x7f {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// bare reports whether r carries nothing but its Kind and Seq.
+func (r Record) bare() bool {
+	return r.Game == "" && r.Horizon == 0 && len(r.Opts) == 0 && r.Shard == 0 && r.Shards == 0 &&
+		r.User == 0 && r.Opt == 0 && len(r.Set) == 0 && r.Start == 0 && r.End == 0 && len(r.Values) == 0
+}
+
+// parsePayload decodes a canonical payload. It accepts exactly the
+// bytes canonical writes: a payload that does not re-encode to itself
+// (a leading zero, a plus sign, a doubled space, an out-of-range
+// number) is refused, so each record has one journal line.
+func parsePayload(p []byte) (Record, error) {
+	f := bytes.Split(p, []byte{' '})
+	rec := Record{Kind: RecordKind(f[0])}
+	var err error
+	num := func(b []byte) int64 {
+		n, e := strconv.ParseInt(string(b), 10, 64)
+		if e != nil && err == nil {
+			err = e
+		}
+		return n
+	}
+	switch rec.Kind {
+	case KindShardConfig:
+		if len(f) < 5 {
+			return Record{}, errors.New("resilience: short shard record")
+		}
+		rec.Game = string(f[1])
+		rec.Horizon, rec.Shard, rec.Shards = core.Slot(num(f[2])), int(num(f[3])), int(num(f[4]))
+		for _, t := range f[5:] {
+			id, cost, ok := bytes.Cut(t, []byte{':'})
+			if !ok {
+				return Record{}, fmt.Errorf("resilience: malformed catalog entry %q", t)
+			}
+			rec.Opts = append(rec.Opts, OptCost{ID: core.OptID(num(id)), Cost: econ.Money(num(cost))})
+		}
+	case KindAdditiveBid, KindSubstBid:
+		if len(f) < 5 {
+			return Record{}, fmt.Errorf("resilience: short %s record", rec.Kind)
+		}
+		rec.User = core.UserID(num(f[1]))
+		if rec.Kind == KindAdditiveBid {
+			rec.Opt = core.OptID(num(f[2]))
+		} else if string(f[2]) != "-" {
+			for _, t := range bytes.Split(f[2], []byte{','}) {
+				rec.Set = append(rec.Set, core.OptID(num(t)))
+			}
+		}
+		rec.Start, rec.End = core.Slot(num(f[3])), core.Slot(num(f[4]))
+		if len(f) > 5 {
+			rec.Values = make([]econ.Money, len(f)-5)
+			for i, t := range f[5:] {
+				rec.Values[i] = econ.Money(num(t))
+			}
+		}
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("resilience: decoding %s record: %w", rec.Kind, err)
+	}
+	again, err := rec.canonical()
+	if err != nil {
+		return Record{}, err
+	}
+	if !bytes.Equal(again, p) {
+		return Record{}, fmt.Errorf("resilience: %s record payload is not canonical", rec.Kind)
+	}
+	return rec, nil
 }
 
 // digest is the identity under which duplicate submissions are
@@ -87,66 +226,73 @@ func (r Record) canonical() []byte {
 // of any collision is below n²/2²⁵⁷, about 4·10⁻⁶⁰ for a billion bids.
 func digest(canonical []byte) [sha256.Size]byte { return sha256.Sum256(canonical) }
 
-// appendFrame appends one record, framed as a journal line at sequence
-// seq, to dst, given the record's canonical payload:
+// digestOf is the digest of a record known to encode: a bid record
+// additiveBidRecord or substBidRecord built, or a record decoded from a
+// journal.
+func digestOf(rec Record) [sha256.Size]byte {
+	canonical, _ := rec.canonical() // nil error: such a record carries only its kind's fields
+	return digest(canonical)
+}
+
+// checksum is a journal line's checksum: the CRC-32 (IEEE) of the
+// record's sequence number as 8 big-endian bytes followed by its
+// payload. Binding the sequence makes a line valid only at its own
+// position in the journal.
+func checksum(seq uint64, payload []byte) [8]byte {
+	var s [8]byte
+	binary.BigEndian.PutUint64(s[:], seq)
+	return hex8(crc32.Update(crc32.ChecksumIEEE(s[:]), crc32.IEEETable, payload))
+}
+
+// hex8 is a checksum as a line writes it: 8 lowercase hex digits.
+func hex8(sum uint32) (h [8]byte) {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], sum)
+	hex.Encode(h[:], b[:])
+	return h
+}
+
+// appendFrame appends one record, framed as the journal line at
+// sequence seq, to dst, given the record's canonical payload:
 //
-//	<crc32-ieee-hex8> <payload-json>\n
+//	<checksum> <payload>\n
 //
-// The payload is the record's JSON with Seq set to seq — `{"seq":seq`
-// followed by the canonical payload after canonicalPrefix — so a record
-// is marshaled once whether it is digested, framed, or both. The
-// checksum covers exactly the payload bytes, so any torn, bit-rotted or
-// short-written tail fails verification and is discarded on replay. On
-// error dst is returned unchanged.
-func appendFrame(dst []byte, seq uint64, canonical []byte) ([]byte, error) {
-	rest, ok := bytes.CutPrefix(canonical, []byte(canonicalPrefix))
-	if !ok {
-		return dst, fmt.Errorf("resilience: record %d: payload is not canonical", seq)
-	}
-	if bytes.IndexByte(rest, '\n') >= 0 {
-		return dst, fmt.Errorf("resilience: record %d payload contains newline", seq)
-	}
-	const header = len("xxxxxxxx ")
-	start := len(dst)
-	out := append(dst, "xxxxxxxx "...)
-	out = append(out, `{"seq":`...)
-	out = strconv.AppendUint(out, seq, 10)
-	out = append(out, rest...)
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out[start+header:]))
-	hex.Encode(out[start:start+header-1], sum[:])
-	return append(out, '\n'), nil
+// The record is encoded once whether it is digested, framed, or both.
+// The checksum covers seq and the payload, so any torn, bit-rotted,
+// short-written or misplaced line fails verification and is discarded
+// on replay.
+func appendFrame(dst []byte, seq uint64, canonical []byte) []byte {
+	sum := checksum(seq, canonical)
+	dst = append(append(dst, sum[:]...), ' ')
+	return append(append(dst, canonical...), '\n')
 }
 
 // decodeLine parses one framed journal line (without the trailing
-// newline), verifying the checksum.
-func decodeLine(line []byte) (Record, error) {
-	var rec Record
+// newline) as the record at sequence seq, verifying the checksum.
+func decodeLine(line []byte, seq uint64) (Record, error) {
 	if len(line) < 10 || line[8] != ' ' {
-		return rec, errors.New("resilience: malformed record frame")
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
-		return rec, fmt.Errorf("resilience: malformed checksum: %w", err)
+		return Record{}, errors.New("resilience: malformed record frame")
 	}
 	payload := line[9:]
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return rec, fmt.Errorf("resilience: checksum mismatch (record %08x, computed %08x)", sum, got)
+	if sum := checksum(seq, payload); !bytes.Equal(line[:8], sum[:]) {
+		return Record{}, fmt.Errorf("resilience: checksum mismatch at record %d (line %q, computed %s)", seq, line[:8], sum[:])
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("resilience: decoding record: %w", err)
+	rec, err := parsePayload(payload)
+	if err != nil {
+		return Record{}, err
 	}
+	rec.Seq = seq
 	return rec, nil
 }
 
 // ReadJournal parses a journal image into its longest valid record
 // prefix. A record is valid if it is newline-terminated, its checksum
-// matches, and its sequence number continues the chain 1, 2, 3, … —
-// anything else ends the scan there. consumed is the byte offset of the
-// end of the last valid record (the truncation point for a log that will
-// be appended to again), and torn reports whether trailing bytes were
-// discarded. ReadJournal never fails on a damaged tail; that is the
-// crash contract, not an error.
+// matches at the next sequence number of the chain 1, 2, 3, …, and its
+// payload is canonical — anything else ends the scan there. consumed is
+// the byte offset of the end of the last valid record (the truncation
+// point for a log that will be appended to again), and torn reports
+// whether trailing bytes were discarded. ReadJournal never fails on a
+// damaged tail; that is the crash contract, not an error.
 func ReadJournal(data []byte) (recs []Record, consumed int, torn bool) {
 	off := 0
 	for off < len(data) {
@@ -154,14 +300,31 @@ func ReadJournal(data []byte) (recs []Record, consumed int, torn bool) {
 		if nl < 0 {
 			break // unterminated tail: a write died mid-record
 		}
-		rec, err := decodeLine(data[off : off+nl])
-		if err != nil || rec.Seq != uint64(len(recs))+1 {
+		rec, err := decodeLine(data[off:off+nl], uint64(len(recs))+1)
+		if err != nil {
 			break
 		}
 		recs = append(recs, rec)
 		off += nl + 1
 	}
 	return recs, off, off < len(data)
+}
+
+// ErrJournalFormat is returned by OpenFileLog for a journal in the JSON
+// line format earlier versions wrote (`<crc32-hex8> <json>\n`, the
+// checksum over the JSON alone), which this version does not read.
+// The file is left as it was.
+var ErrJournalFormat = errors.New("resilience: journal is in the retired JSON line format")
+
+// jsonFramed reports whether data opens with a complete line framed the
+// retired JSON way: a checksum over the payload alone that matches.
+func jsonFramed(data []byte) bool {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 10 || data[8] != ' ' {
+		return false
+	}
+	sum := hex8(crc32.ChecksumIEEE(data[9:nl]))
+	return bytes.Equal(data[:8], sum[:])
 }
 
 // ErrJournalBroken wraps the first append failure of a journal: once a
@@ -213,34 +376,42 @@ func NewJournalAt(w io.Writer, seq uint64) *Journal {
 }
 
 // Append assigns the next sequence number to rec and writes it durably.
-// A short write (n < len with a nil error, from a buggy or faulty
-// writer) is promoted to io.ErrShortWrite. Any failure wedges the
+// A record the journal line cannot carry (see Record.canonical) is
+// refused before anything is enqueued, and the journal stays usable. A
+// short write (n < len with a nil error, from a buggy or faulty writer)
+// is promoted to io.ErrShortWrite. Any write failure wedges the
 // journal: the record may be partially on disk, so nothing further may
 // be appended after it.
 func (j *Journal) Append(rec Record) error {
-	seq, err := j.enqueue(rec.canonical())
+	seq, err := j.enqueueRecord(rec)
 	if err != nil {
 		return err
 	}
 	return j.waitDurable(seq)
 }
 
-// enqueue frames a record, given as its canonical payload, into the
-// pending group under the next sequence number and returns that number.
-// Nothing is written: the record is durable once waitDurable(seq)
-// returns nil.
+// enqueueRecord encodes rec and enqueues it, refusing a record the
+// journal line cannot carry.
+func (j *Journal) enqueueRecord(rec Record) (uint64, error) {
+	canonical, err := rec.canonical()
+	if err != nil {
+		return 0, err
+	}
+	return j.enqueue(canonical)
+}
+
+// enqueue frames a record, given as the payload Record.canonical
+// returned for it, into the pending group under the next sequence
+// number and returns that number. Nothing is written: the record is
+// durable once waitDurable(seq) returns nil.
 func (j *Journal) enqueue(canonical []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrJournalBroken, j.err)
 	}
-	pending, err := appendFrame(j.pending, j.seq+1, canonical)
-	if err != nil {
-		return 0, err // nothing was enqueued: not wedged
-	}
-	j.pending = pending
 	j.seq++
+	j.pending = appendFrame(j.pending, j.seq, canonical)
 	return j.seq, nil
 }
 
@@ -372,7 +543,9 @@ type FileLog struct {
 // OpenFileLog opens (creating if absent) the journal at path, parses its
 // longest valid record prefix, truncates any torn tail, and returns the
 // log positioned for appends together with the recovered records and
-// whether a tail was discarded.
+// whether a tail was discarded. A journal in the retired JSON line
+// format is refused with ErrJournalFormat and left untouched: its
+// records are intact, not torn.
 func OpenFileLog(path string) (*FileLog, []Record, bool, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -384,6 +557,10 @@ func OpenFileLog(path string) (*FileLog, []Record, bool, error) {
 		return nil, nil, false, err
 	}
 	recs, consumed, torn := ReadJournal(data)
+	if len(recs) == 0 && jsonFramed(data) {
+		f.Close()
+		return nil, nil, false, fmt.Errorf("%w: %s", ErrJournalFormat, path)
+	}
 	if torn {
 		if err := f.Truncate(int64(consumed)); err != nil {
 			f.Close()

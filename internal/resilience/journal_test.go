@@ -2,14 +2,12 @@ package resilience
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sharedopt/internal/core"
@@ -27,22 +25,15 @@ func testRecords() []Record {
 	}
 }
 
-// encodeRecord frames rec as a journal line the plain way — marshal the
-// record, checksum the payload, frame it — as the reference the
-// encode-once path (appendFrame) must match byte for byte.
-func encodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// frameRecord is rec's journal line at sequence rec.Seq; rec must
+// encode.
+func frameRecord(tb testing.TB, rec Record) []byte {
+	tb.Helper()
+	canonical, err := rec.canonical()
 	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding record %d: %w", rec.Seq, err)
+		tb.Fatal(err)
 	}
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return nil, fmt.Errorf("resilience: record %d payload contains newline", rec.Seq)
-	}
-	out := make([]byte, 0, len(payload)+10)
-	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	out = append(out, '\n')
-	return out, nil
+	return appendFrame(nil, rec.Seq, canonical)
 }
 
 func appendAll(t *testing.T, j *Journal, recs []Record) {
@@ -77,7 +68,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, rec.Seq)
 		}
 		want[i].Seq = rec.Seq
-		if !bytes.Equal(rec.canonical(), want[i].canonical()) {
+		if !sameRecord(rec, want[i]) {
 			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, rec, want[i])
 		}
 	}
@@ -139,10 +130,7 @@ func TestJournalSeqGap(t *testing.T) {
 	j := NewJournal(&m)
 	appendAll(t, j, testRecords()[:2])
 	// Append a record with a skipped sequence number by hand.
-	frame, err := encodeRecord(Record{Seq: 9, Kind: KindAdvanceSlot})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := frameRecord(t, Record{Seq: 9, Kind: KindAdvanceSlot})
 	if _, err := m.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +177,7 @@ func TestFileLogReopenTruncatesTornTail(t *testing.T) {
 	j := NewJournal(log)
 	appendAll(t, j, testRecords()[:3])
 	// Tear the tail: append half a record's bytes directly.
-	frame, err := encodeRecord(Record{Seq: 4, Kind: KindClosePeriod})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := frameRecord(t, Record{Seq: 4, Kind: KindClosePeriod})
 	if _, err := log.f.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +250,7 @@ func TestFileLogReopenRejectsDuplicateSeq(t *testing.T) {
 	// Replay record 2's frame verbatim: checksum valid, seq duplicate.
 	dup := testRecords()[1]
 	dup.Seq = 2
-	frame, err := encodeRecord(dup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := frameRecord(t, dup)
 	if _, err := log.f.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +342,7 @@ func TestFileLogRepeatedTearAppendCycles(t *testing.T) {
 			t.Fatalf("cycle %d append: %v", cycle, err)
 		}
 		// Tear: a partial frame for the record that never completes.
-		frame, err := encodeRecord(Record{Seq: uint64(cycle + 2), Kind: KindAdvanceSlot})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := frameRecord(t, Record{Seq: uint64(cycle + 2), Kind: KindAdvanceSlot})
 		if _, err := log.f.Write(frame[:1+cycle%len(frame)]); err != nil {
 			t.Fatal(err)
 		}
@@ -385,56 +364,148 @@ func TestFileLogRepeatedTearAppendCycles(t *testing.T) {
 	}
 }
 
-// TestEncodeCanonicalMatchesEncodeRecord pins the encode-once path: for
-// every record kind and sequence widths from one digit to twenty, the
-// line framed from a record's canonical payload equals encodeRecord of
-// the record itself, and a journal's image equals the records framed by
-// encodeRecord.
-func TestEncodeCanonicalMatchesEncodeRecord(t *testing.T) {
+// TestJournalGolden pins the journal line format: one exact line of
+// every kind at fixed sequence numbers, written through Journal.Append
+// and appendFrame and decoded back. A change to these bytes is a format
+// change, which old journals will not survive.
+func TestJournalGolden(t *testing.T) {
 	recs := append(testRecords(), Record{Kind: KindSubstBid, User: 8, Set: []core.OptID{1, 2},
 		Start: 2, End: 3, Values: []econ.Money{econ.FromCents(150), 0}})
-	kinds := map[RecordKind]bool{}
-	for _, rec := range recs {
-		kinds[rec.Kind] = true
-		for _, seq := range []uint64{1, 9, 10, 4711, math.MaxUint64} {
-			rec.Seq = seq
-			want, err := encodeRecord(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := appendFrame(nil, seq, rec.canonical())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s record at seq %d:\nencode-once %q\nencodeRecord %q", rec.Kind, seq, got, want)
-			}
-		}
+	const image = "f0bbed88 shard additive 3 0 1 1:10000000\n" +
+		"9eceab9a abid 7 1 1 2 4000000 4000000\n" +
+		"88d0c5bf adv\n" +
+		"41c6724d close\n" +
+		"0cc22b43 sbid 8 1,2 2 3 1500000 0\n"
+	var m MemLog
+	appendAll(t, NewJournal(&m), recs)
+	if got := m.Bytes(); string(got) != image {
+		t.Fatalf("journal image:\n got %q\nwant %q", got, image)
 	}
-	for _, k := range []RecordKind{KindShardConfig, KindAdditiveBid, KindSubstBid, KindAdvanceSlot, KindClosePeriod} {
-		if !kinds[k] {
-			t.Errorf("no %s record checked", k)
+	got, _, torn := ReadJournal([]byte(image))
+	if torn || len(got) != len(recs) {
+		t.Fatalf("golden image decoded to %d records, torn=%v", len(got), torn)
+	}
+	for i, rec := range got {
+		recs[i].Seq = uint64(i + 1)
+		if !sameRecord(rec, recs[i]) {
+			t.Fatalf("golden record %d decoded to %+v, want %+v", i+1, rec, recs[i])
 		}
 	}
 
-	var m MemLog
-	var want []byte
-	j := NewJournal(&m)
-	for i, rec := range recs {
-		if err := j.Append(rec); err != nil {
+	// Lines away from the start of a journal: an empty substitute set,
+	// extreme money, negative ids and costs, and the widest sequence.
+	for _, c := range []struct {
+		rec  Record
+		line string
+	}{
+		{Record{Seq: 4711, Kind: KindSubstBid, User: 3, Start: 1, End: 1},
+			"93590bbe sbid 3 - 1 1\n"},
+		{Record{Seq: math.MaxUint64, Kind: KindAdditiveBid, User: -2, Opt: 5,
+			Values: []econ.Money{math.MinInt64, math.MaxInt64}},
+			"a2669d5e abid -2 5 0 0 -9223372036854775808 9223372036854775807\n"},
+		{Record{Seq: 10, Kind: KindShardConfig, Game: "substitutive", Horizon: 400, Shard: 3, Shards: 8,
+			Opts: []OptCost{{1, 5}, {2, -1}, {3, 0}}},
+			"b1aaf16e shard substitutive 400 3 8 1:5 2:-1 3:0\n"},
+	} {
+		if got := frameRecord(t, c.rec); string(got) != c.line {
+			t.Fatalf("%s record at seq %d:\n got %q\nwant %q", c.rec.Kind, c.rec.Seq, got, c.line)
+		}
+		rec, err := decodeLine([]byte(c.line[:len(c.line)-1]), c.rec.Seq)
+		if err != nil || !sameRecord(rec, c.rec) {
+			t.Fatalf("decoding %q: %+v, %v", c.line, rec, err)
+		}
+	}
+}
+
+// sameRecord reports whether two records are equal, an empty slice
+// equal to a nil one.
+func sameRecord(a, b Record) bool {
+	return a.Seq == b.Seq && a.Kind == b.Kind && a.Game == b.Game && a.Horizon == b.Horizon &&
+		slices.Equal(a.Opts, b.Opts) && a.Shard == b.Shard && a.Shards == b.Shards &&
+		a.User == b.User && a.Opt == b.Opt && slices.Equal(a.Set, b.Set) &&
+		a.Start == b.Start && a.End == b.End && slices.Equal(a.Values, b.Values)
+}
+
+// TestJournalRefusesUnencodableRecord: a record whose line would not
+// decode back to it is refused before it is enqueued, so nothing is
+// journaled that recovery would discard as a torn tail, and the journal
+// stays usable.
+func TestJournalRefusesUnencodableRecord(t *testing.T) {
+	cfg := testRecords()[0]
+	spaced, newline, empty, control := cfg, cfg, cfg, cfg
+	spaced.Game, newline.Game, empty.Game, control.Game = "two words", "a\nb", "", "a\tb"
+	for name, rec := range map[string]Record{
+		"unknown kind":        {Kind: "bogus"},
+		"game with space":     spaced,
+		"game with newline":   newline,
+		"empty game":          empty,
+		"game with control":   control,
+		"abid with set":       {Kind: KindAdditiveBid, User: 1, Set: []core.OptID{1}},
+		"sbid with opt":       {Kind: KindSubstBid, User: 1, Opt: 2},
+		"adv with user":       {Kind: KindAdvanceSlot, User: 1},
+		"close with values":   {Kind: KindClosePeriod, Values: []econ.Money{1}},
+		"shard with bid end":  {Kind: KindShardConfig, Game: "additive", End: 1},
+		"shard with user set": {Kind: KindShardConfig, Game: "additive", User: 4},
+	} {
+		var m MemLog
+		j := NewJournal(&m)
+		err := j.Append(rec)
+		if err == nil || errors.Is(err, ErrJournalBroken) {
+			t.Fatalf("%s: Append = %v, want a codec refusal", name, err)
+		}
+		if j.Err() != nil || j.Seq() != 0 || m.Len() != 0 {
+			t.Fatalf("%s: refusal left err=%v seq=%d and %d bytes", name, j.Err(), j.Seq(), m.Len())
+		}
+		if err := j.Append(Record{Kind: KindAdvanceSlot}); err != nil {
+			t.Fatalf("%s: append after the refusal: %v", name, err)
+		}
+	}
+}
+
+// jsonJournal is a journal in the retired JSON line format, as the
+// previous encoder wrote testRecords followed by one substitutive bid.
+const jsonJournal = "edf551c2 {\"seq\":1,\"kind\":\"shard\",\"game\":\"additive\",\"horizon\":3,\"opts\":[{\"id\":1,\"cost\":10000000}],\"shards\":1}\n" +
+	"d062f309 {\"seq\":2,\"kind\":\"abid\",\"user\":7,\"opt\":1,\"start\":1,\"end\":2,\"values\":[4000000,4000000]}\n" +
+	"3d8299bc {\"seq\":3,\"kind\":\"adv\"}\n" +
+	"5e562e7b {\"seq\":4,\"kind\":\"close\"}\n" +
+	"bb9b4af1 {\"seq\":5,\"kind\":\"sbid\",\"user\":8,\"set\":[1,2],\"start\":2,\"end\":3,\"values\":[1500000,0]}\n"
+
+// TestOpenFileLogRefusesJSONJournal: a journal in the retired JSON
+// format holds intact records, not a torn tail. OpenFileLog refuses it
+// with ErrJournalFormat and leaves its bytes as they were, whole or
+// torn after its first line; a torn or bit-rotted first line of the
+// current format still truncates.
+func TestOpenFileLogRefusesJSONJournal(t *testing.T) {
+	dir := t.TempDir()
+	for i, image := range []string{jsonJournal, jsonJournal[:len(jsonJournal)-20]} {
+		path := filepath.Join(dir, "json.journal")
+		if err := os.WriteFile(path, []byte(image), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec.Seq = uint64(i + 1)
-		line, err := encodeRecord(rec)
+		if _, _, _, err := OpenFileLog(path); !errors.Is(err, ErrJournalFormat) {
+			t.Fatalf("image %d: OpenFileLog = %v, want ErrJournalFormat", i, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != image {
+			t.Fatalf("image %d: refused journal changed: %q, %v", i, got, err)
+		}
+	}
+
+	line := frameRecord(t, Record{Seq: 1, Kind: KindShardConfig, Game: "additive", Horizon: 3, Shards: 1,
+		Opts: []OptCost{{ID: 1, Cost: econ.FromDollars(10)}}})
+	rotted := append([]byte(nil), line...)
+	rotted[12] ^= 0x40
+	for name, image := range map[string][]byte{"torn": line[:len(line)/2], "rotted": rotted} {
+		path := filepath.Join(dir, name+".journal")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, recs, torn, err := OpenFileLog(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s first line: %v", name, err)
 		}
-		want = append(want, line...)
-	}
-	if !bytes.Equal(m.Bytes(), want) {
-		t.Fatalf("journal images differ:\nAppend       %q\nencodeRecord %q", m.Bytes(), want)
-	}
-	if _, err := appendFrame(nil, 1, []byte(`{"kind":"adv"}`)); err == nil {
-		t.Fatal("a payload without the seq-0 prefix was framed")
+		log.Close()
+		if fi, err := os.Stat(path); err != nil || !torn || len(recs) != 0 || fi.Size() != 0 {
+			t.Fatalf("%s first line: %d records, torn=%v, stat %v %v; want 0, true, truncated", name, len(recs), torn, fi, err)
+		}
 	}
 }

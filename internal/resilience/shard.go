@@ -530,13 +530,13 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 			// Fate unknown: the shard may have journaled the bid before
 			// the reply was lost. Remember it so settlement resolves it
 			// by idempotent resubmission before the next marker.
-			sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digest(rec.canonical())})
+			sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digestOf(rec)})
 			return fmt.Errorf("resilience: shard %d: %w", i, err)
 		default:
 			sh.om.rejected.Inc()
 			if len(sh.indoubt) > 0 {
 				// Definitively rejected: nothing durable to resolve.
-				sh.dropIndoubtLocked(digest(rec.canonical()))
+				sh.dropIndoubtLocked(digestOf(rec))
 			}
 			return err
 		}

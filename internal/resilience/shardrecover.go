@@ -35,10 +35,10 @@ package resilience
 // after a close, a config mismatch) fails recovery as corrupt.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"sharedopt/internal/core"
 )
@@ -46,10 +46,7 @@ import (
 // sameShardConfig checks that two shard-config records describe the same
 // tier (ignoring which shard each belongs to).
 func sameShardConfig(a, b Record) error {
-	na, nb := a, b
-	na.Seq, na.Shard = 0, 0
-	nb.Seq, nb.Shard = 0, 0
-	if !bytes.Equal(na.canonical(), nb.canonical()) {
+	if a.Game != b.Game || a.Horizon != b.Horizon || a.Shards != b.Shards || !slices.Equal(a.Opts, b.Opts) {
 		return fmt.Errorf("resilience: shard %d and shard %d journals disagree on tier config", a.Shard, b.Shard)
 	}
 	return nil

@@ -162,7 +162,7 @@ func NewShardHost(kind sharedopt.GameKind, opts []sharedopt.Optimization, horizo
 	}
 	cfg := shardConfigRecord(kind, opts, horizon, shard, shards)
 	h := newShardHost(cfg, kind, NewJournal(w))
-	if _, err := h.j.enqueue(cfg.canonical()); err != nil {
+	if _, err := h.j.enqueueRecord(cfg); err != nil {
 		return nil, fmt.Errorf("resilience: shard %d: %w", shard, err)
 	}
 	return h, nil
@@ -223,7 +223,7 @@ func (h *ShardHost) replay(rec Record) error {
 		}
 		// A live host never journals a digest twice; if a damaged journal
 		// does, duplicates keep acknowledging the first record.
-		key := digest(rec.canonical())
+		key := digestOf(rec)
 		if _, dup := h.seen.Get(key); !dup {
 			h.seen.Put(key, rec.Seq)
 		}
@@ -329,12 +329,13 @@ func unavailableErr(err error) error {
 
 // Submit implements ShardTransport: check routing, then run the
 // accept-then-journal protocol with digest dedup. The record is rebuilt
-// in canonical form first, so a delivery's digest is the same whichever
-// transport carried it. A fresh bid is marshaled once: the same
-// canonical payload yields its digest and its journal line. Admission,
-// dedup and enqueueing happen under h.mu; the wait for the record's
-// group to be written does not, so concurrent submissions share one
-// write. A duplicate is acknowledged only once its original is durable.
+// from the bid's fields first, so a delivery's digest is the same
+// whichever transport carried it and whatever else the wire record
+// held. A fresh bid is encoded once: the same canonical payload yields
+// its digest and its journal line. Admission, dedup and enqueueing
+// happen under h.mu; the wait for the record's group to be written does
+// not, so concurrent submissions share one write. A duplicate is
+// acknowledged only once its original is durable.
 func (h *ShardHost) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SubmitResult{}, unavailableErr(err)
@@ -368,7 +369,10 @@ func (h *ShardHost) enqueueBid(rec Record) (SubmitResult, error) {
 	if err := h.errIfBroken(); err != nil {
 		return SubmitResult{}, err
 	}
-	canonical := rec.canonical()
+	canonical, err := rec.canonical()
+	if err != nil {
+		return SubmitResult{}, err
+	}
 	key := digest(canonical)
 	if seq, ok := h.seen.Get(key); ok {
 		return SubmitResult{Seq: seq}, nil
@@ -431,7 +435,7 @@ func (h *ShardHost) enqueueAdvance(window int) (uint64, error) {
 
 // enqueueMarker enqueues an adv or close marker under h.mu.
 func (h *ShardHost) enqueueMarker(kind RecordKind) (uint64, error) {
-	seq, err := h.j.enqueue(Record{Kind: kind}.canonical())
+	seq, err := h.j.enqueueRecord(Record{Kind: kind})
 	if err != nil {
 		return 0, h.brokenErr(err)
 	}

@@ -121,7 +121,7 @@ func netChaosRound(seed uint64) (string, error) {
 	reg := obs.NewRegistry()
 	logs, _ := tiercheck.MemWriters(shards)
 	servers := make([]*ShardServer, shards)
-	addrs := make([]*tiercheck.Addr, shards)
+	addrs := make([]*dialTarget, shards)
 	links := make([]resilience.ShardTransport, shards)
 	defer func() {
 		for _, srv := range servers {
@@ -140,7 +140,7 @@ func netChaosRound(seed uint64) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("shard %d listen: %v", i, err)
 		}
-		addrs[i] = tiercheck.NewAddr(addr)
+		addrs[i] = newDialTarget(addr)
 		faults[i].SetArmed(false) // handshake clean, arm before driving
 		cli, err := NewShardClient(ClientConfig{
 			Dial:        faults[i].WrapDial(addrs[i].Dial),

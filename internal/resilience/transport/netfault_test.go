@@ -171,3 +171,29 @@ func breakConns(s *ShardServer) {
 		conn.Close()
 	}
 }
+
+// dialTarget is a mutable dial target for a shard client: a test that
+// restarts a shard server on a fresh port moves it, and the client's
+// next dial follows. It is safe for concurrent use.
+type dialTarget struct {
+	mu   sync.Mutex
+	addr string
+}
+
+// newDialTarget returns a dial target pointing at addr.
+func newDialTarget(addr string) *dialTarget { return &dialTarget{addr: addr} }
+
+// Set moves the target to addr.
+func (a *dialTarget) Set(addr string) {
+	a.mu.Lock()
+	a.addr = addr
+	a.mu.Unlock()
+}
+
+// Dial connects to the current target.
+func (a *dialTarget) Dial() (net.Conn, error) {
+	a.mu.Lock()
+	addr := a.addr
+	a.mu.Unlock()
+	return net.DialTimeout("tcp", addr, time.Second)
+}

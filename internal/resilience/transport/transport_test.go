@@ -49,7 +49,7 @@ func newTestHost(t *testing.T, shard, shards int) (*resilience.ShardHost, *resil
 
 // newTestPair serves host over TCP and returns a connected client whose
 // connections suffer fault's schedule (none when fault is nil).
-func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig, fault *NetFault) (*ShardServer, *ShardClient, *tiercheck.Addr) {
+func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig, fault *NetFault) (*ShardServer, *ShardClient, *dialTarget) {
 	t.Helper()
 	srv := NewShardServer(host)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -57,7 +57,7 @@ func newTestPair(t *testing.T, host resilience.ShardTransport, cfg ClientConfig,
 		t.Fatalf("Listen: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	box := tiercheck.NewAddr(addr)
+	box := newDialTarget(addr)
 	cfg.Dial = box.Dial
 	if fault != nil {
 		cfg.Dial = fault.WrapDial(box.Dial)

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -341,30 +340,4 @@ func Journals(logs []*resilience.MemLog) [][]resilience.Record {
 		m.Truncate(consumed)
 	}
 	return journals
-}
-
-// Addr is a mutable dial target for a shard client: a drill that
-// restarts a shard server on a fresh port moves it, and the client's
-// next dial follows. It is safe for concurrent use.
-type Addr struct {
-	mu   sync.Mutex
-	addr string
-}
-
-// NewAddr returns a dial target pointing at addr.
-func NewAddr(addr string) *Addr { return &Addr{addr: addr} }
-
-// Set moves the target to addr.
-func (a *Addr) Set(addr string) {
-	a.mu.Lock()
-	a.addr = addr
-	a.mu.Unlock()
-}
-
-// Dial connects to the current target.
-func (a *Addr) Dial() (net.Conn, error) {
-	a.mu.Lock()
-	addr := a.addr
-	a.mu.Unlock()
-	return net.DialTimeout("tcp", addr, time.Second)
 }
