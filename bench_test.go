@@ -134,6 +134,15 @@ func BenchmarkTierRetained(b *testing.B) { benchkit.TierRetained()(b) }
 // ("retained-B/user").
 func BenchmarkTierRetainedOpen(b *testing.B) { benchkit.TierRetainedOpen()(b) }
 
+// BenchmarkJournalAppendSeason appends season-shaped bid records (1–48
+// cent-valued slots, a fifth of them revisions) to a journal over a
+// discarding writer and reports the bytes per record ("B/record").
+func BenchmarkJournalAppendSeason(b *testing.B) { benchkit.JournalAppendSeason()(b) }
+
+// BenchmarkReadJournalSeason parses a journal image of 2,000 such
+// records, as recovery does, and reports its bytes per record.
+func BenchmarkReadJournalSeason(b *testing.B) { benchkit.ReadJournalSeason()(b) }
+
 // BenchmarkEngineHashJoin measures a 10k × 10k hash join plus grouped
 // count through the columnar query engine.
 func BenchmarkEngineHashJoin(b *testing.B) { benchkit.EngineHashJoin()(b) }

@@ -85,6 +85,7 @@ func TestKeyBenchmarksRegistered(t *testing.T) {
 		"ServiceGame":    true,
 		"ShardedIngest1": true, "ShardedIngest4": true, "ShardedIngest4Obs": true,
 		"ShardedIngest4Net": true, "TierRetained": true, "TierRetainedOpen": true,
+		"JournalAppendSeason": true, "ReadJournalSeason": true,
 		"EngineHashJoin": true, "EngineHashJoinParallel4": true,
 		"EngineBuildJoin": true, "EngineBuildJoinParallel4": true,
 		"EngineOrderBy": true, "EngineOrderByParallel4": true,

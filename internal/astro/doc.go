@@ -30,8 +30,7 @@
 //     MeasureSavings (savings.go) measures each astronomer's workload
 //     with no views and with each view alone, and DeriveSavingsCents
 //     scales the unit savings to cents anchored at the paper's 18¢
-//     final-snapshot saving. Per-halo mass statistics used by the
-//     float-aggregate figure paths live in massstats.go.
+//     final-snapshot saving.
 //
 // # Concurrency
 //

@@ -155,15 +155,15 @@ func TestHaloFinderParallelMatchesSerial(t *testing.T) {
 // ~2 million cells per axis far beyond any physical snapshot).
 func TestHaloFinderExtentOverflow(t *testing.T) {
 	tbl := engine.NewTable("huge", ParticleSchema)
-	tbl.MustAppend(engine.Row{engine.I(0), engine.F(0), engine.F(0), engine.F(0), engine.F(1)})
-	tbl.MustAppend(engine.Row{engine.I(1), engine.F(1e9), engine.F(0), engine.F(0), engine.F(1)})
+	tbl.MustAppend(engine.Row{engine.I(0), engine.F(0), engine.F(0), engine.F(0)})
+	tbl.MustAppend(engine.Row{engine.I(1), engine.F(1e9), engine.F(0), engine.F(0)})
 	if _, err := FindHalos(tbl, 1.0, 1, nil); err == nil {
 		t.Fatal("expected cell-extent overflow error")
 	}
 	// Far apart but within the bound still works.
 	ok := engine.NewTable("ok", ParticleSchema)
-	ok.MustAppend(engine.Row{engine.I(0), engine.F(0), engine.F(0), engine.F(0), engine.F(1)})
-	ok.MustAppend(engine.Row{engine.I(1), engine.F(100_000), engine.F(0), engine.F(0), engine.F(1)})
+	ok.MustAppend(engine.Row{engine.I(0), engine.F(0), engine.F(0), engine.F(0)})
+	ok.MustAppend(engine.Row{engine.I(1), engine.F(100_000), engine.F(0), engine.F(0)})
 	if _, err := FindHalos(ok, 1.0, 1, nil); err != nil {
 		t.Fatalf("in-bound extent rejected: %v", err)
 	}

@@ -77,7 +77,7 @@ func (c Config) Validate() error {
 type Universe struct {
 	Config
 	// Tables[t] is snapshot t+1's particle table with schema
-	// (pid int64, x, y, z, mass float64).
+	// (pid int64, x, y, z float64).
 	Tables []*engine.Table
 	// TrueHalo[t][p] is particle p's generating halo at snapshot t+1,
 	// or -1 for background particles.
@@ -90,7 +90,6 @@ var ParticleSchema = engine.Schema{
 	{Name: "x", Type: engine.Float64},
 	{Name: "y", Type: engine.Float64},
 	{Name: "z", Type: engine.Float64},
-	{Name: "mass", Type: engine.Float64},
 }
 
 // Generate builds a universe: halo centers drift across snapshots and a
@@ -165,7 +164,6 @@ func Generate(cfg Config) (*Universe, error) {
 			tbl.MustAppend(engine.Row{
 				engine.I(int64(p)),
 				engine.F(pos[0]), engine.F(pos[1]), engine.F(pos[2]),
-				engine.F(ParticleMass(p)),
 			})
 		}
 		u.Tables = append(u.Tables, tbl)
@@ -173,14 +171,6 @@ func Generate(cfg Config) (*Universe, error) {
 	}
 	return u, nil
 }
-
-// ParticleMass returns particle p's mass, constant across snapshots
-// (particles keep their identity as they move). Real N-body simulations
-// use equal-mass particles; the synthetic universe spreads masses
-// deterministically over [1, 1.5) — without consuming generator
-// randomness, so positions and memberships are unchanged — to keep
-// mass-weighted halo statistics (Tracker.HaloMasses) non-degenerate.
-func ParticleMass(p int) float64 { return 1 + float64(p%8)/16 }
 
 // SnapshotTableName returns the conventional table name of a snapshot
 // (1-based).

@@ -484,6 +484,8 @@ func Key() []struct {
 		{"ShardedIngest4Net", ShardedIngestNet(4)},
 		{"TierRetained", TierRetained()},
 		{"TierRetainedOpen", TierRetainedOpen()},
+		{"JournalAppendSeason", JournalAppendSeason()},
+		{"ReadJournalSeason", ReadJournalSeason()},
 		{"EngineHashJoin", EngineHashJoin()},
 		{"EngineHashJoinParallel4", EngineHashJoinParallel(4)},
 		{"EngineBuildJoin", EngineBuildJoin()},

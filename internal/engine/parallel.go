@@ -7,9 +7,9 @@ package engine
 // WithParallelism(n) workers. Each worker instantiates its own copy of
 // the pipeline with a private Meter, claims morsels from an atomic
 // counter, and drains them; pipeline breakers (hash build, GroupCount,
-// GroupSumFloat64, Top1, sort, Rows/ForEachBatch) merge the per-morsel
-// partials deterministically by morsel index and fold the worker meters
-// into the query's meter with Meter.Add.
+// Top1, sort, Rows/ForEachBatch) merge the per-morsel partials
+// deterministically by morsel index and fold the worker meters into the
+// query's meter with Meter.Add.
 //
 // Determinism contract: because morsels partition the scan in row order,
 // per-morsel outputs preserve intra-morsel row order, and every merge

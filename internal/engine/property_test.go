@@ -269,11 +269,6 @@ func diffPipelines(a, b *Table, idx *HashIndex, desc bool) []diffPipeline {
 				return Scan(a, m).WithParallelism(par).OrderByInt("v", desc)
 			},
 			func(m *Meter) *refQuery { return refScan(a, m).OrderByInt("v", desc) }},
-		{"group-sum-float",
-			func(m *Meter, par int) *Query {
-				return Scan(a, m).WithParallelism(par).GroupSumFloat64("k", "f")
-			},
-			func(m *Meter) *refQuery { return refScan(a, m).GroupSumFloat64("k", "f") }},
 	}
 }
 

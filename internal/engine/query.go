@@ -8,10 +8,10 @@ import (
 
 // Query is a fluent builder over columnar batch operators (see batch.go).
 // Scan starts a query; FilterIntEq, Project, HashJoin and IndexJoin
-// stream; GroupCount, GroupSumFloat64 and OrderByInt materialize; Rows,
-// ForEachBatch and Top1 drain it. Construction errors are carried along
-// and surfaced by the drain, so call chains stay linear. The tests hold
-// every operator to a row-at-a-time reference executor (rowref_test.go).
+// stream; GroupCount and OrderByInt materialize; Rows, ForEachBatch and
+// Top1 drain it. Construction errors are carried along and surfaced by
+// the drain, so call chains stay linear. The tests hold every operator
+// to a row-at-a-time reference executor (rowref_test.go).
 type Query struct {
 	it    batchIterator
 	meter *Meter

@@ -278,49 +278,6 @@ func (q *refQuery) GroupCount(col string) *refQuery {
 	return q
 }
 
-// GroupSumFloat64 is the reference twin of Query.GroupSumFloat64: per
-// first-seen group, the float sum accumulated in row order.
-func (q *refQuery) GroupSumFloat64(key, col string) *refQuery {
-	if q.err != nil {
-		return q
-	}
-	in := q.it.Schema()
-	ki := in.ColIndex(key)
-	if ki < 0 || in[ki].Type != Int64 {
-		q.err = fmt.Errorf("engine: group sum float: bad key column %q", key)
-		return q
-	}
-	ci := in.ColIndex(col)
-	if ci < 0 || in[ci].Type != Float64 {
-		q.err = fmt.Errorf("engine: group sum float: bad float column %q", col)
-		return q
-	}
-	slots := make(map[int64]int)
-	var rows []Row
-	for {
-		row, ok := q.it.Next()
-		if !ok {
-			break
-		}
-		k := row[ki].Int
-		s, seen := slots[k]
-		if !seen {
-			s = len(rows)
-			slots[k] = s
-			rows = append(rows, Row{I(k), F(0)})
-		}
-		rows[s][1].Float += row[ci].Float
-		if q.meter != nil {
-			q.meter.RowsBuilt++
-		}
-	}
-	q.it = &refSliceIter{rows: rows, schema: Schema{
-		{Name: in[ki].Name, Type: Int64},
-		{Name: fmt.Sprintf("sum(%s)", col), Type: Float64},
-	}}
-	return q
-}
-
 type refSliceIter struct {
 	rows   []Row
 	schema Schema

@@ -15,9 +15,9 @@
 //
 // Queries execute batch-at-a-time: a Batch of column vectors plus an
 // optional selection vector flows through Scan → FilterIntEq → Project →
-// HashJoin/IndexJoin → GroupCount/GroupSumFloat64/OrderByInt, and is
-// drained by Rows, ForEachBatch or Top1, so the hot loops run over typed
-// slices instead of materializing a Row per operator per row. These are
+// HashJoin/IndexJoin → GroupCount/OrderByInt, and is drained by Rows,
+// ForEachBatch or Top1, so the hot loops run over typed slices instead
+// of materializing a Row per operator per row. These are
 // the operators internal/astro's halo tracking and the pricing loop run.
 // Scans are zero-copy views of table storage; filters narrow the
 // selection vector; projection reorders vector references; the hash join
@@ -32,9 +32,8 @@
 // (Leis et al., SIGMOD 2014; see parallel.go): the scan is split into
 // fixed-size morsels claimed by n workers, each running a private copy
 // of the streamable pipeline (FilterIntEq, Project, join probes);
-// pipeline breakers — hash build, GroupCount, GroupSumFloat64, Top1,
-// OrderByInt, Rows/ForEachBatch — merge the per-morsel partials
-// deterministically.
+// pipeline breakers — hash build, GroupCount, Top1, OrderByInt,
+// Rows/ForEachBatch — merge the per-morsel partials deterministically.
 // n = 1 (the default) keeps the serial path, so existing callers and
 // every committed figure CSV are untouched.
 //
@@ -48,9 +47,7 @@
 // (buildPartitioned). OrderByInt sorts per-worker runs concurrently and
 // merges them pairwise with a key-then-coordinate comparator — a total
 // order equal to the serial stable sort (parallelSortPerm). Top1 and
-// GroupCount reduce per-worker partials by coordinate; GroupSumFloat64
-// instead accumulates over the coordinate-merged rows so float addition
-// order — and every output bit — matches serial.
+// GroupCount reduce per-worker partials by coordinate.
 // The same recipe extends past the engine: astro.HaloFinder fans its
 // candidate-pair phase over contiguous particle-id chunks and replays
 // passing pairs through its union-find in serial pair order.

@@ -21,12 +21,22 @@
 // money in exact integer micro-dollars:
 //
 //	<crc32-hex8> shard <game> <horizon> <shard> <shards> <id>:<cost> …
-//	<crc32-hex8> abid <user> <opt> <start> <end> <value> …
-//	<crc32-hex8> sbid <user> <opt>,<opt>,… <start> <end> <value> …
+//	<crc32-hex8> abid <user> <opt> <start> <end> [x<e>] <value> …
+//	<crc32-hex8> sbid <user> <opt>,<opt>,… <start> <end> [x<e>] <value> …
 //	<crc32-hex8> adv
 //	<crc32-hex8> close
 //
-// An empty substitute set is "-". A record's sequence number (strictly
+// A bid's values share one power of ten: e is the fewest trailing
+// decimal zeros of a nonzero value, and the values are written divided
+// by 10^e after an "x<e>" token whenever that makes the line shorter
+// (the e digits saved on each nonzero value outweigh the token). A bid
+// in whole cents that is not all zero is written at x4 or above, so a
+// bid of $0.17, $0.11, $0.04 and $0.04 over slots 4–7 is
+//
+//	<crc32-hex8> abid 6 9 4 7 x4 17 11 4 4
+//
+// rather than "abid 6 9 4 7 170000 110000 40000 40000". An empty
+// substitute set is "-". A record's sequence number (strictly
 // 1, 2, 3, …) is its line's position and is not written: the CRC-32
 // (IEEE) covers the sequence number as 8 big-endian bytes followed by
 // the payload, so a line verifies only at its own position. Each record
@@ -36,9 +46,11 @@
 // "shard" config record (game, horizon, shard index and count, catalog)
 // followed by that shard's accepted bids ("abid", "sbid") and
 // settlement markers ("adv", "close"). OpenFileLog refuses a journal in
-// the JSON line format of earlier versions with ErrJournalFormat and
-// leaves the file as it is. Records are written
-// by group commit: each is enqueued in sequence order under the journal
+// a line format of earlier versions — JSON lines, or text lines with
+// unscaled values — with ErrJournalFormat and leaves the file as it is:
+// a complete line whose checksum verifies but whose payload does not
+// decode is an intact record, not a torn write. Records are written by
+// group commit: each is enqueued in sequence order under the journal
 // lock, and a caller waiting for an unwritten record that finds no write
 // in progress writes every pending record as a single Write to the log
 // target (MemLog in memory, FileLog with one fsync per group on disk).

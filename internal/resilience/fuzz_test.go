@@ -3,7 +3,11 @@ package resilience
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 
 	"sharedopt/internal/core"
@@ -42,6 +46,15 @@ func FuzzReadJournal(f *testing.F) {
 	// Payloads under valid checksums that are not canonical: a leading
 	// zero, a plus sign, a doubled space, an empty set spelled "".
 	for _, payload := range []string{"abid 07 1 1 1 5", "abid +7 1 1 1 5", "abid 7 1 1 1  5", "sbid 7  1 1 5", "adv "} {
+		f.Add(appendFrame(nil, 1, []byte(payload)))
+	}
+	// A journal with unscaled bid values, and value scales canonical
+	// does not write: x0, a non-maximal exponent, a token that does not
+	// shorten the line, a token on no values, a scaled value that
+	// overflows, an exponent past 10^18, no exponent, a leading zero.
+	f.Add([]byte(unscaledJournal))
+	for _, payload := range []string{"abid 7 1 1 1 x0 5", "abid 7 1 1 1 x4 10", "abid 7 1 1 1 x3 1", "abid 7 1 1 1 x4",
+		"abid 7 1 1 1 x18 10", "abid 7 1 1 1 x19 0", "abid 7 1 1 1 x 5", "sbid 7 - 1 1 x04 5 5"} {
 		f.Add(appendFrame(nil, 1, []byte(payload)))
 	}
 
@@ -94,9 +107,11 @@ func FuzzReadJournal(f *testing.F) {
 // FuzzRecordCodec drives structured records of every kind through
 // appendFrame and ReadJournal: a record the codec accepts comes back
 // equal, at any sequence number and nowhere else; one it refuses is a
-// config record whose game is not a token. Numbers are drawn from the
-// whole int64 range, eight bytes each; set, values and catalog may be
-// empty.
+// config record whose game is not a token. A bid's line is never
+// longer than its values written unscaled, and every other spelling of
+// its values (checkValueSpellings) is refused. Numbers are drawn from
+// the whole int64 range, eight bytes each; set, values and catalog may
+// be empty.
 func FuzzRecordCodec(f *testing.F) {
 	ints := func(ns ...int64) []byte {
 		var b []byte
@@ -114,6 +129,14 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add(uint8(4), uint64(5), "", int64(8), int64(2), int64(2), int64(3), ints(2, 1, 2, 1_500_000, 0))
 	f.Add(uint8(4), uint64(math.MaxUint64), "", int64(math.MaxInt64), int64(0), int64(1), int64(1), []byte(nil))
 	f.Add(uint8(4), uint64(6), "", int64(1), int64(0), int64(1), int64(1), ints(0, -5))
+	f.Add(uint8(1), uint64(7), "", int64(1), int64(2), int64(3), int64(5), ints(0, 0, 0))
+	f.Add(uint8(1), uint64(8), "", int64(1), int64(2), int64(3), int64(6), ints(0, 170_000, 0, 40_000))
+	f.Add(uint8(1), uint64(9), "", int64(1), int64(2), int64(3), int64(5), ints(9e18, -1e18, 0))
+	f.Add(uint8(4), uint64(10), "", int64(2), int64(0), int64(1), int64(2), ints(0, math.MinInt64, math.MaxInt64))
+	f.Add(uint8(4), uint64(11), "", int64(3), int64(0), int64(1), int64(3), ints(1, 4, -10_000, -2_500_000, -300))
+	f.Add(uint8(1), uint64(12), "", int64(4), int64(1), int64(6), int64(6), ints(150))
+	f.Add(uint8(1), uint64(13), "", int64(4), int64(1), int64(6), int64(7), ints(1000, 0))
+	f.Add(uint8(1), uint64(14), "", int64(4), int64(1), int64(6), int64(6), ints(10_000))
 
 	f.Fuzz(func(t *testing.T, kind uint8, seq uint64, game string, a, b, c, d int64, list []byte) {
 		var nums []int64
@@ -175,5 +198,84 @@ func FuzzRecordCodec(f *testing.F) {
 		if _, err := decodeLine(line, seq+1); err == nil {
 			t.Fatalf("line %q for seq %d decodes at seq %d", line, seq, seq+1)
 		}
+		if rec.Kind == KindAdditiveBid || rec.Kind == KindSubstBid {
+			checkValueSpellings(t, rec, string(canonical))
+		}
 	})
+}
+
+// bidPayload spells a bid record's payload with the given value
+// digits after token (none if empty), every field in decimal.
+func bidPayload(rec Record, token string, values []int64) string {
+	s := fmt.Sprintf("%s %d ", rec.Kind, rec.User)
+	switch {
+	case rec.Kind == KindAdditiveBid:
+		s += strconv.FormatInt(int64(rec.Opt), 10)
+	case len(rec.Set) == 0:
+		s += "-"
+	}
+	for i, o := range rec.Set {
+		if i > 0 {
+			s += ","
+		}
+		s += strconv.FormatInt(int64(o), 10)
+	}
+	s += fmt.Sprintf(" %d %d", rec.Start, rec.End)
+	if token != "" {
+		s += " " + token
+	}
+	for _, v := range values {
+		s += " " + strconv.FormatInt(v, 10)
+	}
+	return s
+}
+
+// scaled returns values divided by p.
+func scaled(values []econ.Money, p int64) []int64 {
+	out := make([]int64, len(values))
+	for i, v := range values {
+		out[i] = int64(v) / p
+	}
+	return out
+}
+
+// checkValueSpellings holds a bid's canonical payload to be the one
+// exact spelling of its values the codec reads: never longer than the
+// unscaled payload and equal to it unless shorter; every other exact
+// spelling — x0, each exponent up to the values' trailing zeros, the
+// unscaled one — refused; and a scaled value that overflows refused as
+// out of range.
+func checkValueSpellings(t *testing.T, rec Record, canonical string) {
+	unscaled := bidPayload(rec, "", scaled(rec.Values, 1))
+	if len(canonical) > len(unscaled) || len(canonical) == len(unscaled) && canonical != unscaled {
+		t.Fatalf("%+v encodes as %q, not shorter than unscaled %q", rec, canonical, unscaled)
+	}
+	spellings := []string{unscaled, bidPayload(rec, "x0", scaled(rec.Values, 1))}
+	divides := func(p int64) bool {
+		return !slices.ContainsFunc(rec.Values, func(v econ.Money) bool { return int64(v)%p != 0 })
+	}
+	for e, p := 1, int64(10); e <= maxValueScale && divides(p); e, p = e+1, p*10 {
+		spellings = append(spellings, bidPayload(rec, "x"+strconv.Itoa(e), scaled(rec.Values, p)))
+	}
+	if !slices.Contains(spellings, canonical) {
+		t.Fatalf("%+v encodes as %q, none of its exact spellings %q", rec, canonical, spellings)
+	}
+	for _, s := range spellings {
+		if _, err := parsePayload([]byte(s)); s != canonical && err == nil {
+			t.Fatalf("%+v: non-canonical spelling %q decodes (canonical %q)", rec, s, canonical)
+		}
+	}
+	if len(rec.Values) == 0 {
+		return
+	}
+	e := max(valueScale(rec.Values), 1)
+	p := pow10(e)
+	for _, v := range []int64{math.MaxInt64/p + 1, math.MinInt64/p - 1} {
+		values := scaled(rec.Values, p)
+		values[0] = v
+		over := bidPayload(rec, "x"+strconv.Itoa(e), values)
+		if _, err := parsePayload([]byte(over)); !errors.Is(err, strconv.ErrRange) {
+			t.Fatalf("%+v: overflowing spelling %q: %v, want a range error", rec, over, err)
+		}
+	}
 }

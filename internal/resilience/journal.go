@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -70,17 +71,22 @@ type Record struct {
 // decimal and money in micro-dollars:
 //
 //	shard <game> <horizon> <shard> <shards> <id>:<cost> …
-//	abid <user> <opt> <start> <end> <value> …
-//	sbid <user> <opt>,<opt>,… <start> <end> <value> …
+//	abid <user> <opt> <start> <end> [x<e>] <value> …
+//	sbid <user> <opt>,<opt>,… <start> <end> [x<e>] <value> …
 //	adv
 //	close
 //
-// An empty substitute set is written "-". Seq is not in the payload, so
-// the payload is also the identity a duplicate submission shares with
-// its first copy. A record the payload cannot carry back — an unknown
-// kind, a field its kind does not carry, or a game that is empty or
-// holds a space or control byte — is refused: whatever is journaled
-// decodes to the record it was.
+// A bid's values share one power of ten: e is the fewest trailing
+// decimal zeros of a nonzero value, and the values are written divided
+// by 10^e after an "x<e>" token whenever that shortens the line, so
+// values of $0.17, $0.11 and $0.04 are "x4 17 11 4" rather than
+// "170000 110000 40000". An empty substitute set is written "-".
+//
+// Seq is not in the payload, so the payload is also the identity a
+// duplicate submission shares with its first copy. A record the payload
+// cannot carry back — an unknown kind, a field its kind does not carry,
+// or a game that is empty or holds a space or control byte — is
+// refused: whatever is journaled decodes to the record it was.
 func (r Record) canonical() ([]byte, error) {
 	b := make([]byte, 0, 32+12*(len(r.Values)+len(r.Set)+2*len(r.Opts)))
 	rest := r // the fields the kind does not carry, which must be zero
@@ -130,14 +136,57 @@ func (r Record) canonical() ([]byte, error) {
 // appendInt appends a space and n in decimal.
 func appendInt(b []byte, n int64) []byte { return strconv.AppendInt(append(b, ' '), n, 10) }
 
-// appendBid appends a bid record's start, end and values.
+// appendBid appends a bid record's start, end and values, the values
+// scaled as valueScale says.
 func appendBid(b []byte, r Record) []byte {
 	b = appendInt(b, int64(r.Start))
 	b = appendInt(b, int64(r.End))
+	e := valueScale(r.Values)
+	if e > 0 {
+		b = strconv.AppendInt(append(b, " x"...), int64(e), 10)
+	}
+	p := pow10(e)
 	for _, v := range r.Values {
-		b = appendInt(b, int64(v))
+		b = appendInt(b, int64(v)/p)
 	}
 	return b
+}
+
+// maxValueScale is the largest exponent a bid line can carry: 10^18 is
+// the largest power of ten in an int64.
+const maxValueScale = 18
+
+// valueScale returns the exponent e under which a bid's values are
+// written: the fewest trailing decimal zeros of a nonzero value, or 0
+// when scaling would not make the line shorter — when the e digits it
+// saves on each nonzero value do not outweigh the " x<e>" token.
+func valueScale(values []econ.Money) int {
+	e, p, nonzero := maxValueScale, pow10(maxValueScale), 0
+	for _, v := range values {
+		if v == 0 {
+			continue
+		}
+		nonzero++
+		for int64(v)%p != 0 {
+			e, p = e-1, p/10
+		}
+		if e == 0 {
+			return 0
+		}
+	}
+	if nonzero*e <= len(" x")+len(strconv.Itoa(e)) {
+		return 0
+	}
+	return e
+}
+
+// pow10 returns 10^e for 0 ≤ e ≤ maxValueScale.
+func pow10(e int) int64 {
+	p := int64(1)
+	for range e {
+		p *= 10
+	}
+	return p
 }
 
 // isToken reports whether s can stand as one payload field: non-empty,
@@ -160,7 +209,8 @@ func (r Record) bare() bool {
 // parsePayload decodes a canonical payload. It accepts exactly the
 // bytes canonical writes: a payload that does not re-encode to itself
 // (a leading zero, a plus sign, a doubled space, an out-of-range
-// number) is refused, so each record has one journal line.
+// number, a scaled value that overflows, an "x<e>" token canonical
+// would not write) is refused, so each record has one journal line.
 func parsePayload(p []byte) (Record, error) {
 	f := bytes.Split(p, []byte{' '})
 	rec := Record{Kind: RecordKind(f[0])}
@@ -199,10 +249,22 @@ func parsePayload(p []byte) (Record, error) {
 			}
 		}
 		rec.Start, rec.End = core.Slot(num(f[3])), core.Slot(num(f[4]))
-		if len(f) > 5 {
-			rec.Values = make([]econ.Money, len(f)-5)
-			for i, t := range f[5:] {
-				rec.Values[i] = econ.Money(num(t))
+		values, scale := f[5:], int64(1)
+		if len(values) > 0 && bytes.HasPrefix(values[0], []byte{'x'}) {
+			e := num(values[0][1:])
+			if e < 0 || e > maxValueScale {
+				return Record{}, fmt.Errorf("resilience: %s record value scale %q: %w", rec.Kind, values[0], strconv.ErrRange)
+			}
+			values, scale = values[1:], pow10(int(e))
+		}
+		if len(values) > 0 {
+			rec.Values = make([]econ.Money, len(values))
+			for i, t := range values {
+				v := num(t)
+				if v > math.MaxInt64/scale || v < math.MinInt64/scale {
+					return Record{}, fmt.Errorf("resilience: %s record value %s×%d: %w", rec.Kind, t, scale, strconv.ErrRange)
+				}
+				rec.Values[i] = econ.Money(v * scale)
 			}
 		}
 	}
@@ -310,21 +372,27 @@ func ReadJournal(data []byte) (recs []Record, consumed int, torn bool) {
 	return recs, off, off < len(data)
 }
 
-// ErrJournalFormat is returned by OpenFileLog for a journal in the JSON
-// line format earlier versions wrote (`<crc32-hex8> <json>\n`, the
-// checksum over the JSON alone), which this version does not read.
-// The file is left as it was.
-var ErrJournalFormat = errors.New("resilience: journal is in the retired JSON line format")
+// ErrJournalFormat is returned by OpenFileLog for a journal written in
+// a line format this version does not read: the JSON lines of earlier
+// versions (`<crc32-hex8> <json>\n`, the checksum over the JSON alone),
+// or text lines whose bid values are not scaled as Record.canonical now
+// writes them. The file is left as it was.
+var ErrJournalFormat = errors.New("resilience: journal is in a retired line format")
 
-// jsonFramed reports whether data opens with a complete line framed the
-// retired JSON way: a checksum over the payload alone that matches.
-func jsonFramed(data []byte) bool {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 10 || data[8] != ' ' {
+// retiredLine reports whether tail, the bytes after a journal's valid
+// record prefix, opens with a complete line whose checksum verifies —
+// at seq, or over the payload alone as JSON lines were framed — although
+// the line did not decode. Such a line holds an intact record of a
+// retired format. A crash cannot leave one: a torn write ends in a line
+// with no newline, and damage fails the checksum.
+func retiredLine(tail []byte, seq uint64) bool {
+	nl := bytes.IndexByte(tail, '\n')
+	if nl < 10 || tail[8] != ' ' {
 		return false
 	}
-	sum := hex8(crc32.ChecksumIEEE(data[9:nl]))
-	return bytes.Equal(data[:8], sum[:])
+	payload := tail[9:nl]
+	atSeq, alone := checksum(seq, payload), hex8(crc32.ChecksumIEEE(payload))
+	return bytes.Equal(tail[:8], atSeq[:]) || bytes.Equal(tail[:8], alone[:])
 }
 
 // ErrJournalBroken wraps the first append failure of a journal: once a
@@ -543,9 +611,9 @@ type FileLog struct {
 // OpenFileLog opens (creating if absent) the journal at path, parses its
 // longest valid record prefix, truncates any torn tail, and returns the
 // log positioned for appends together with the recovered records and
-// whether a tail was discarded. A journal in the retired JSON line
-// format is refused with ErrJournalFormat and left untouched: its
-// records are intact, not torn.
+// whether a tail was discarded. A journal in a retired line format is
+// refused with ErrJournalFormat and left untouched: its records are
+// intact, not torn.
 func OpenFileLog(path string) (*FileLog, []Record, bool, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -557,7 +625,7 @@ func OpenFileLog(path string) (*FileLog, []Record, bool, error) {
 		return nil, nil, false, err
 	}
 	recs, consumed, torn := ReadJournal(data)
-	if len(recs) == 0 && jsonFramed(data) {
+	if torn && retiredLine(data[consumed:], uint64(len(recs))+1) {
 		f.Close()
 		return nil, nil, false, fmt.Errorf("%w: %s", ErrJournalFormat, path)
 	}

@@ -372,10 +372,10 @@ func TestJournalGolden(t *testing.T) {
 	recs := append(testRecords(), Record{Kind: KindSubstBid, User: 8, Set: []core.OptID{1, 2},
 		Start: 2, End: 3, Values: []econ.Money{econ.FromCents(150), 0}})
 	const image = "f0bbed88 shard additive 3 0 1 1:10000000\n" +
-		"9eceab9a abid 7 1 1 2 4000000 4000000\n" +
+		"7eb3172e abid 7 1 1 2 x6 4 4\n" +
 		"88d0c5bf adv\n" +
 		"41c6724d close\n" +
-		"0cc22b43 sbid 8 1,2 2 3 1500000 0\n"
+		"a18c133b sbid 8 1,2 2 3 x5 15 0\n"
 	var m MemLog
 	appendAll(t, NewJournal(&m), recs)
 	if got := m.Bytes(); string(got) != image {
@@ -393,7 +393,9 @@ func TestJournalGolden(t *testing.T) {
 	}
 
 	// Lines away from the start of a journal: an empty substitute set,
-	// extreme money, negative ids and costs, and the widest sequence.
+	// extreme money, negative ids and costs, the widest sequence, and
+	// value scales from the largest to ones that would not shorten
+	// the line.
 	for _, c := range []struct {
 		rec  Record
 		line string
@@ -406,6 +408,18 @@ func TestJournalGolden(t *testing.T) {
 		{Record{Seq: 10, Kind: KindShardConfig, Game: "substitutive", Horizon: 400, Shard: 3, Shards: 8,
 			Opts: []OptCost{{1, 5}, {2, -1}, {3, 0}}},
 			"b1aaf16e shard substitutive 400 3 8 1:5 2:-1 3:0\n"},
+		{Record{Seq: 12, Kind: KindAdditiveBid, User: 1, Opt: 2, Start: 3, End: 5,
+			Values: []econ.Money{9e18, -1e18, 0}},
+			"fd5c29ce abid 1 2 3 5 x18 9 -1 0\n"},
+		{Record{Seq: 13, Kind: KindAdditiveBid, User: 4, Opt: 1, Start: 6, End: 7,
+			Values: []econ.Money{1000, 0}},
+			"231bc297 abid 4 1 6 7 1000 0\n"},
+		{Record{Seq: 14, Kind: KindAdditiveBid, User: 12342, Opt: 3, Start: 3, End: 3,
+			Values: []econ.Money{econ.FromCents(2)}},
+			"ad27c7e5 abid 12342 3 3 3 x4 2\n"},
+		{Record{Seq: 15, Kind: KindSubstBid, User: 5, Set: []core.OptID{2, 4}, Start: 1, End: 2,
+			Values: []econ.Money{econ.FromCents(-17), econ.FromCents(-4)}},
+			"e2ff028a sbid 5 2,4 1 2 x4 -17 -4\n"},
 	} {
 		if got := frameRecord(t, c.rec); string(got) != c.line {
 			t.Fatalf("%s record at seq %d:\n got %q\nwant %q", c.rec.Kind, c.rec.Seq, got, c.line)
@@ -470,6 +484,21 @@ const jsonJournal = "edf551c2 {\"seq\":1,\"kind\":\"shard\",\"game\":\"additive\
 	"5e562e7b {\"seq\":4,\"kind\":\"close\"}\n" +
 	"bb9b4af1 {\"seq\":5,\"kind\":\"sbid\",\"user\":8,\"set\":[1,2],\"start\":2,\"end\":3,\"values\":[1500000,0]}\n"
 
+// requireFormatRefused writes image to path and requires OpenFileLog to
+// refuse it with ErrJournalFormat and leave it byte-identical.
+func requireFormatRefused(t *testing.T, path, image string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(image), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenFileLog(path); !errors.Is(err, ErrJournalFormat) {
+		t.Fatalf("OpenFileLog(%q) = %v, want ErrJournalFormat", image, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != image {
+		t.Fatalf("refused journal changed: %q, %v", got, err)
+	}
+}
+
 // TestOpenFileLogRefusesJSONJournal: a journal in the retired JSON
 // format holds intact records, not a torn tail. OpenFileLog refuses it
 // with ErrJournalFormat and leaves its bytes as they were, whole or
@@ -477,17 +506,8 @@ const jsonJournal = "edf551c2 {\"seq\":1,\"kind\":\"shard\",\"game\":\"additive\
 // current format still truncates.
 func TestOpenFileLogRefusesJSONJournal(t *testing.T) {
 	dir := t.TempDir()
-	for i, image := range []string{jsonJournal, jsonJournal[:len(jsonJournal)-20]} {
-		path := filepath.Join(dir, "json.journal")
-		if err := os.WriteFile(path, []byte(image), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := OpenFileLog(path); !errors.Is(err, ErrJournalFormat) {
-			t.Fatalf("image %d: OpenFileLog = %v, want ErrJournalFormat", i, err)
-		}
-		if got, err := os.ReadFile(path); err != nil || string(got) != image {
-			t.Fatalf("image %d: refused journal changed: %q, %v", i, got, err)
-		}
+	for _, image := range []string{jsonJournal, jsonJournal[:len(jsonJournal)-20]} {
+		requireFormatRefused(t, filepath.Join(dir, "json.journal"), image)
 	}
 
 	line := frameRecord(t, Record{Seq: 1, Kind: KindShardConfig, Game: "additive", Horizon: 3, Shards: 1,
@@ -506,6 +526,50 @@ func TestOpenFileLogRefusesJSONJournal(t *testing.T) {
 		log.Close()
 		if fi, err := os.Stat(path); err != nil || !torn || len(recs) != 0 || fi.Size() != 0 {
 			t.Fatalf("%s first line: %d records, torn=%v, stat %v %v; want 0, true, truncated", name, len(recs), torn, fi, err)
+		}
+	}
+}
+
+// unscaledJournal is a journal whose bid values are written in full
+// micro-dollars, as the text codec wrote them before values were
+// scaled: testRecords followed by one substitutive bid. Every line's
+// checksum verifies at its sequence number.
+const unscaledJournal = "f0bbed88 shard additive 3 0 1 1:10000000\n" +
+	"9eceab9a abid 7 1 1 2 4000000 4000000\n" +
+	"88d0c5bf adv\n" +
+	"41c6724d close\n" +
+	"0cc22b43 sbid 8 1,2 2 3 1500000 0\n"
+
+// TestOpenFileLogRefusesUnscaledJournal: the bid lines of a journal
+// with unscaled values are intact records that the current codec does
+// not decode, not a torn tail. OpenFileLog refuses the journal with
+// ErrJournalFormat and leaves it byte-identical, whole or torn after
+// its first such line, instead of truncating it after the config line.
+// A torn or bit-rotted bid line of the current format still truncates.
+func TestOpenFileLogRefusesUnscaledJournal(t *testing.T) {
+	dir := t.TempDir()
+	for _, image := range []string{unscaledJournal, unscaledJournal[:len(unscaledJournal)-20]} {
+		requireFormatRefused(t, filepath.Join(dir, "unscaled.journal"), image)
+	}
+
+	var m MemLog
+	appendAll(t, NewJournal(&m), testRecords())
+	image := m.Bytes()
+	bid := bytes.IndexByte(image, '\n') + 1 // the config line ends here; the abid line follows
+	rotted := append([]byte(nil), image...)
+	rotted[bid+12] ^= 0x40
+	for name, image := range map[string][]byte{"torn": image[:bid+15], "rotted": rotted} {
+		path := filepath.Join(dir, name+".journal")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, recs, torn, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatalf("%s bid line: %v", name, err)
+		}
+		log.Close()
+		if fi, err := os.Stat(path); err != nil || !torn || len(recs) != 1 || fi.Size() != int64(bid) {
+			t.Fatalf("%s bid line: %d records, torn=%v, stat %v %v; want 1, true, truncated to %d", name, len(recs), torn, fi, err, bid)
 		}
 	}
 }
