@@ -144,12 +144,13 @@ func Max(a, b Money) Money {
 // $1.50, $0.03, -$2.310000 renders as -$2.31, $0.000001 stays six places.
 func (m Money) String() string {
 	neg := m < 0
-	v := int64(m)
+	// The magnitude as a uint64, where -MinInt64 fits.
+	v := uint64(m)
 	if neg {
 		v = -v
 	}
-	whole := v / int64(Dollar)
-	frac := v % int64(Dollar)
+	whole := v / uint64(Dollar)
+	frac := v % uint64(Dollar)
 	fs := fmt.Sprintf("%06d", frac)
 	// Trim trailing zeros but keep at least two fractional digits.
 	for len(fs) > 2 && fs[len(fs)-1] == '0' {

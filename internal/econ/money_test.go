@@ -186,6 +186,10 @@ func TestStringFormatting(t *testing.T) {
 		{FromDollars(-1.5), "-$1.50"},
 		{Micro, "$0.000001"},
 		{FromDollars(12.345678), "$12.345678"},
+		// The magnitude of math.MinInt64 is not an int64.
+		{math.MinInt64, "-$9223372036854.775808"},
+		{math.MinInt64 + 1, "-$9223372036854.775807"},
+		{math.MaxInt64, "$9223372036854.775807"},
 	}
 	for _, c := range cases {
 		if got := c.m.String(); got != c.want {

@@ -195,12 +195,15 @@ func TestShardHostDedupManyChunks(t *testing.T) {
 // lossyLink fronts a shard and loses the replies of the next lose
 // submissions after the shard has decided them, as a dropped connection
 // does: the caller sees ErrShardUnavailable though the bid is durable.
+// It counts the submissions it forwards.
 type lossyLink struct {
 	ShardTransport
-	lose int
+	lose    int
+	submits int
 }
 
 func (l *lossyLink) Submit(ctx context.Context, rec Record) (SubmitResult, error) {
+	l.submits++
 	res, err := l.ShardTransport.Submit(ctx, rec)
 	if l.lose > 0 {
 		l.lose--
@@ -301,5 +304,36 @@ func TestInDoubtBatchedByRetryFoldsOnce(t *testing.T) {
 	counters(rec, 2)
 	if err := tiercheck.Journaled(tiercheck.Journals(logs), rec.ShardStats()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnencodableBidNotInDoubt: a bid whose values do not fill its
+// interval has no journal line, so the shard cannot have journaled it.
+// When its reply is lost it is not left in doubt: settlement does not
+// resubmit it, and the tier settles as if it had never been sent.
+func TestUnencodableBidNotInDoubt(t *testing.T) {
+	catalog := []sharedopt.Optimization{{ID: 1, Cost: econ.FromDollars(4)}}
+	var m MemLog
+	h, err := NewShardHost(sharedopt.Additive, catalog, 4, 0, 1, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := &lossyLink{ShardTransport: h, lose: 1}
+	ss, err := NewShardedServiceOver(sharedopt.Additive, catalog, 4, []ShardTransport{lossy}, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := core.OnlineBid{User: 1, Start: 1, End: 3, Values: []econ.Money{econ.FromDollars(5)}}
+	if err := ss.SubmitAdditiveBid(1, bad); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("lost reply returned %v, want ErrShardUnavailable", err)
+	}
+	if _, err := ss.AdvanceSlot(); err != nil {
+		t.Fatal(err)
+	}
+	if lossy.submits != 1 {
+		t.Fatalf("shard saw %d submissions, want 1: the unencodable bid was resubmitted", lossy.submits)
+	}
+	if st := ss.ShardStats()[0]; st.Accepted != 0 || st.Unavailable != 1 || st.Pending != 0 {
+		t.Fatalf("counters %+v, want nothing accepted or pending and one unavailable", st)
 	}
 }

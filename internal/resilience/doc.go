@@ -21,34 +21,39 @@
 // money in exact integer micro-dollars:
 //
 //	<crc32-hex8> shard <game> <horizon> <shard> <shards> <id>:<cost> …
-//	<crc32-hex8> abid <user> <opt> <start> <end> [x<e>] <value> …
-//	<crc32-hex8> sbid <user> <opt>,<opt>,… <start> <end> [x<e>] <value> …
+//	<crc32-hex8> a[<e>] <user> <opt> <start> <value> …
+//	<crc32-hex8> s[<e>] <user> <opt>,<opt>,… <start> <value> …
 //	<crc32-hex8> adv
 //	<crc32-hex8> close
 //
-// A bid's values share one power of ten: e is the fewest trailing
-// decimal zeros of a nonzero value, and the values are written divided
-// by 10^e after an "x<e>" token whenever that makes the line shorter
-// (the e digits saved on each nonzero value outweigh the token). A bid
-// in whole cents that is not all zero is written at x4 or above, so a
-// bid of $0.17, $0.11, $0.04 and $0.04 over slots 4–7 is
+// A bid line opens with its kind's initial (a for an additive bid, s
+// for a substitutive one) and holds one value per slot from its start,
+// so its end slot is start + values − 1 and is not written. The values
+// share one power of ten: e is the fewest trailing decimal zeros of a
+// nonzero value (0 when none is nonzero), written right after the
+// initial unless it is 0, and the values are written divided by 10^e.
+// The exponent costs at most two bytes and saves at least e on each
+// nonzero value, so it never lengthens a line. A bid in whole cents that
+// is not all zero is written at a4 or above, so a bid of $0.17, $0.11,
+// $0.04 and $0.04 over slots 4–7 is
 //
-//	<crc32-hex8> abid 6 9 4 7 x4 17 11 4 4
+//	<crc32-hex8> a4 6 9 4 17 11 4 4
 //
-// rather than "abid 6 9 4 7 170000 110000 40000 40000". An empty
+// rather than "a 6 9 4 170000 110000 40000 40000". An empty
 // substitute set is "-". A record's sequence number (strictly
 // 1, 2, 3, …) is its line's position and is not written: the CRC-32
 // (IEEE) covers the sequence number as 8 big-endian bytes followed by
 // the payload, so a line verifies only at its own position. Each record
 // has exactly one line — the decoder refuses any payload that does not
-// re-encode to the same bytes — and a record the line cannot carry is
-// refused before it is journaled. A shard journal opens with one
-// "shard" config record (game, horizon, shard index and count, catalog)
-// followed by that shard's accepted bids ("abid", "sbid") and
-// settlement markers ("adv", "close"). OpenFileLog refuses a journal in
-// a line format of earlier versions — JSON lines, or text lines with
-// unscaled values — with ErrJournalFormat and leaves the file as it is:
-// a complete line whose checksum verifies but whose payload does not
+// re-encode to the same bytes — and a record the line cannot carry (a
+// bid whose values do not fill its interval among them) is refused
+// before it is journaled. A shard journal opens with one "shard" config
+// record (game, horizon, shard index and count, catalog) followed by
+// that shard's accepted bids and settlement markers ("adv", "close").
+// OpenFileLog refuses a journal in a line format of earlier versions —
+// JSON lines, or text bid lines that open with "abid" or "sbid" and
+// write the end slot — with ErrJournalFormat and leaves the file as it
+// is: a complete line whose checksum verifies but whose payload does not
 // decode is an intact record, not a torn write. Records are written by
 // group commit: each is enqueued in sequence order under the journal
 // lock, and a caller waiting for an unwritten record that finds no write

@@ -71,32 +71,36 @@ type Record struct {
 // decimal and money in micro-dollars:
 //
 //	shard <game> <horizon> <shard> <shards> <id>:<cost> …
-//	abid <user> <opt> <start> <end> [x<e>] <value> …
-//	sbid <user> <opt>,<opt>,… <start> <end> [x<e>] <value> …
+//	a[<e>] <user> <opt> <start> <value> …
+//	s[<e>] <user> <opt>,<opt>,… <start> <value> …
 //	adv
 //	close
 //
-// A bid's values share one power of ten: e is the fewest trailing
-// decimal zeros of a nonzero value, and the values are written divided
-// by 10^e after an "x<e>" token whenever that shortens the line, so
-// values of $0.17, $0.11 and $0.04 are "x4 17 11 4" rather than
-// "170000 110000 40000". An empty substitute set is written "-".
+// A bid line opens with its kind's initial, a for abid and s for sbid.
+// A bid holds one value per slot from its start, so its end slot is
+// not written: it is Start + len(Values) − 1, and a bid record whose End
+// is not, or for which that sum overflows, is refused. A bid's values
+// share one power of ten: e is the fewest trailing decimal zeros of a
+// nonzero value (valueScale), written right after the initial unless it
+// is 0, and the values are written divided by 10^e, so values of $0.17,
+// $0.11 and $0.04 from slot 4 are "a4 <user> <opt> 4 17 11 4". An empty
+// substitute set is written "-".
 //
 // Seq is not in the payload, so the payload is also the identity a
 // duplicate submission shares with its first copy. A record the payload
 // cannot carry back — an unknown kind, a field its kind does not carry,
-// or a game that is empty or holds a space or control byte — is
-// refused: whatever is journaled decodes to the record it was.
+// a bid whose end slot its values do not imply, or a game that is empty
+// or holds a space or control byte — is refused: whatever is journaled
+// decodes to the record it was.
 func (r Record) canonical() ([]byte, error) {
 	b := make([]byte, 0, 32+12*(len(r.Values)+len(r.Set)+2*len(r.Opts)))
 	rest := r // the fields the kind does not carry, which must be zero
-	b = append(b, r.Kind...)
 	switch r.Kind {
 	case KindShardConfig:
 		if !isToken(r.Game) {
 			return nil, fmt.Errorf("resilience: game %q is not a journal token", r.Game)
 		}
-		b = append(append(b, ' '), r.Game...)
+		b = append(append(append(b, r.Kind...), ' '), r.Game...)
 		b = appendInt(b, int64(r.Horizon))
 		b = appendInt(b, int64(r.Shard))
 		b = appendInt(b, int64(r.Shards))
@@ -105,25 +109,39 @@ func (r Record) canonical() ([]byte, error) {
 			b = strconv.AppendInt(append(b, ':'), int64(o.Cost), 10)
 		}
 		rest.Game, rest.Horizon, rest.Opts, rest.Shard, rest.Shards = "", 0, nil, 0, 0
-	case KindAdditiveBid:
+	case KindAdditiveBid, KindSubstBid:
+		if end, ok := impliedEnd(r.Start, len(r.Values)); !ok || end != r.End {
+			return nil, fmt.Errorf("resilience: %s record from slot %d to %d does not hold one value per slot (%d values)",
+				r.Kind, r.Start, r.End, len(r.Values))
+		}
+		e := valueScale(r.Values)
+		b = append(b, r.Kind[0])
+		if e > 0 {
+			b = strconv.AppendInt(b, int64(e), 10)
+		}
 		b = appendInt(b, int64(r.User))
-		b = appendInt(b, int64(r.Opt))
-		b = appendBid(b, r)
-		rest.User, rest.Opt, rest.Start, rest.End, rest.Values = 0, 0, 0, 0, nil
-	case KindSubstBid:
-		b = append(appendInt(b, int64(r.User)), ' ')
-		if len(r.Set) == 0 {
-			b = append(b, '-')
-		}
-		for i, o := range r.Set {
-			if i > 0 {
-				b = append(b, ',')
+		if r.Kind == KindAdditiveBid {
+			b = appendInt(b, int64(r.Opt))
+		} else {
+			b = append(b, ' ')
+			if len(r.Set) == 0 {
+				b = append(b, '-')
 			}
-			b = strconv.AppendInt(b, int64(o), 10)
+			for i, o := range r.Set {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, int64(o), 10)
+			}
 		}
-		b = appendBid(b, r)
-		rest.User, rest.Set, rest.Start, rest.End, rest.Values = 0, nil, 0, 0, nil
+		b = appendInt(b, int64(r.Start))
+		p := pow10(e)
+		for _, v := range r.Values {
+			b = appendInt(b, int64(v)/p)
+		}
+		rest.User, rest.Opt, rest.Set, rest.Start, rest.End, rest.Values = 0, 0, nil, 0, 0, nil
 	case KindAdvanceSlot, KindClosePeriod:
+		b = append(b, r.Kind...)
 	default:
 		return nil, fmt.Errorf("resilience: unknown record kind %q", r.Kind)
 	}
@@ -136,20 +154,13 @@ func (r Record) canonical() ([]byte, error) {
 // appendInt appends a space and n in decimal.
 func appendInt(b []byte, n int64) []byte { return strconv.AppendInt(append(b, ' '), n, 10) }
 
-// appendBid appends a bid record's start, end and values, the values
-// scaled as valueScale says.
-func appendBid(b []byte, r Record) []byte {
-	b = appendInt(b, int64(r.Start))
-	b = appendInt(b, int64(r.End))
-	e := valueScale(r.Values)
-	if e > 0 {
-		b = strconv.AppendInt(append(b, " x"...), int64(e), 10)
-	}
-	p := pow10(e)
-	for _, v := range r.Values {
-		b = appendInt(b, int64(v)/p)
-	}
-	return b
+// impliedEnd returns the end slot of a bid holding n values from start,
+// start + n − 1, and whether that sum is a Slot rather than an
+// overflow.
+func impliedEnd(start core.Slot, n int) (core.Slot, bool) {
+	d := core.Slot(n - 1)
+	end := start + d
+	return end, (end < start) == (d < 0)
 }
 
 // maxValueScale is the largest exponent a bid line can carry: 10^18 is
@@ -158,15 +169,16 @@ const maxValueScale = 18
 
 // valueScale returns the exponent e under which a bid's values are
 // written: the fewest trailing decimal zeros of a nonzero value, or 0
-// when scaling would not make the line shorter — when the e digits it
-// saves on each nonzero value do not outweigh the " x<e>" token.
+// when no value is nonzero. Writing e costs at most two bytes and
+// saves at least e on every nonzero value, so it never lengthens a
+// line.
 func valueScale(values []econ.Money) int {
-	e, p, nonzero := maxValueScale, pow10(maxValueScale), 0
+	e, p, nonzero := maxValueScale, pow10(maxValueScale), false
 	for _, v := range values {
 		if v == 0 {
 			continue
 		}
-		nonzero++
+		nonzero = true
 		for int64(v)%p != 0 {
 			e, p = e-1, p/10
 		}
@@ -174,7 +186,7 @@ func valueScale(values []econ.Money) int {
 			return 0
 		}
 	}
-	if nonzero*e <= len(" x")+len(strconv.Itoa(e)) {
+	if !nonzero {
 		return 0
 	}
 	return e
@@ -209,8 +221,9 @@ func (r Record) bare() bool {
 // parsePayload decodes a canonical payload. It accepts exactly the
 // bytes canonical writes: a payload that does not re-encode to itself
 // (a leading zero, a plus sign, a doubled space, an out-of-range
-// number, a scaled value that overflows, an "x<e>" token canonical
-// would not write) is refused, so each record has one journal line.
+// number, a scaled value that overflows, a value scale canonical would
+// not write, an end slot past the last Slot) is refused, so each record
+// has one journal line.
 func parsePayload(p []byte) (Record, error) {
 	f := bytes.Split(p, []byte{' '})
 	rec := Record{Kind: RecordKind(f[0])}
@@ -222,8 +235,8 @@ func parsePayload(p []byte) (Record, error) {
 		}
 		return n
 	}
-	switch rec.Kind {
-	case KindShardConfig:
+	switch {
+	case rec.Kind == KindShardConfig:
 		if len(f) < 5 {
 			return Record{}, errors.New("resilience: short shard record")
 		}
@@ -236,9 +249,22 @@ func parsePayload(p []byte) (Record, error) {
 			}
 			rec.Opts = append(rec.Opts, OptCost{ID: core.OptID(num(id)), Cost: econ.Money(num(cost))})
 		}
-	case KindAdditiveBid, KindSubstBid:
-		if len(f) < 5 {
+	case rec.Kind == KindAdvanceSlot || rec.Kind == KindClosePeriod:
+	case len(f[0]) > 0 && (f[0][0] == 'a' || f[0][0] == 's'):
+		rec.Kind = KindAdditiveBid
+		if f[0][0] == 's' {
+			rec.Kind = KindSubstBid
+		}
+		if len(f) < 4 {
 			return Record{}, fmt.Errorf("resilience: short %s record", rec.Kind)
+		}
+		scale := int64(1)
+		if len(f[0]) > 1 {
+			e := num(f[0][1:])
+			if e < 0 || e > maxValueScale {
+				return Record{}, fmt.Errorf("resilience: %s record value scale %q: %w", rec.Kind, f[0], strconv.ErrRange)
+			}
+			scale = pow10(int(e))
 		}
 		rec.User = core.UserID(num(f[1]))
 		if rec.Kind == KindAdditiveBid {
@@ -248,15 +274,14 @@ func parsePayload(p []byte) (Record, error) {
 				rec.Set = append(rec.Set, core.OptID(num(t)))
 			}
 		}
-		rec.Start, rec.End = core.Slot(num(f[3])), core.Slot(num(f[4]))
-		values, scale := f[5:], int64(1)
-		if len(values) > 0 && bytes.HasPrefix(values[0], []byte{'x'}) {
-			e := num(values[0][1:])
-			if e < 0 || e > maxValueScale {
-				return Record{}, fmt.Errorf("resilience: %s record value scale %q: %w", rec.Kind, values[0], strconv.ErrRange)
-			}
-			values, scale = values[1:], pow10(int(e))
+		rec.Start = core.Slot(num(f[3]))
+		values := f[4:]
+		end, ok := impliedEnd(rec.Start, len(values))
+		if !ok {
+			return Record{}, fmt.Errorf("resilience: %s record of %d values from slot %d ends past the last slot: %w",
+				rec.Kind, len(values), rec.Start, strconv.ErrRange)
 		}
+		rec.End = end
 		if len(values) > 0 {
 			rec.Values = make([]econ.Money, len(values))
 			for i, t := range values {
@@ -287,14 +312,6 @@ func parsePayload(p []byte) (Record, error) {
 // Seq, barring a SHA-256 collision. Among n distinct records the chance
 // of any collision is below n²/2²⁵⁷, about 4·10⁻⁶⁰ for a billion bids.
 func digest(canonical []byte) [sha256.Size]byte { return sha256.Sum256(canonical) }
-
-// digestOf is the digest of a record known to encode: a bid record
-// additiveBidRecord or substBidRecord built, or a record decoded from a
-// journal.
-func digestOf(rec Record) [sha256.Size]byte {
-	canonical, _ := rec.canonical() // nil error: such a record carries only its kind's fields
-	return digest(canonical)
-}
 
 // checksum is a journal line's checksum: the CRC-32 (IEEE) of the
 // record's sequence number as 8 big-endian bytes followed by its
@@ -375,8 +392,9 @@ func ReadJournal(data []byte) (recs []Record, consumed int, torn bool) {
 // ErrJournalFormat is returned by OpenFileLog for a journal written in
 // a line format this version does not read: the JSON lines of earlier
 // versions (`<crc32-hex8> <json>\n`, the checksum over the JSON alone),
-// or text lines whose bid values are not scaled as Record.canonical now
-// writes them. The file is left as it was.
+// or text bid lines of earlier versions, which open with "abid" or
+// "sbid" and write the end slot, with values unscaled or behind an
+// "x<e>" token (`abid 7 1 1 2 x4 17 4`). The file is left as it was.
 var ErrJournalFormat = errors.New("resilience: journal is in a retired line format")
 
 // retiredLine reports whether tail, the bytes after a journal's valid
@@ -630,14 +648,16 @@ func OpenFileLog(path string) (*FileLog, []Record, bool, error) {
 		return nil, nil, false, fmt.Errorf("%w: %s", ErrJournalFormat, path)
 	}
 	if torn {
+		// ReadAll left the offset at the end of the file; appends resume
+		// at the end of the valid prefix.
 		if err := f.Truncate(int64(consumed)); err != nil {
 			f.Close()
 			return nil, nil, false, err
 		}
-	}
-	if _, err := f.Seek(int64(consumed), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, false, err
+		if _, err := f.Seek(int64(consumed), io.SeekStart); err != nil {
+			f.Close()
+			return nil, nil, false, err
+		}
 	}
 	return &FileLog{f: f}, recs, torn, nil
 }

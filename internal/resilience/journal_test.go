@@ -372,10 +372,10 @@ func TestJournalGolden(t *testing.T) {
 	recs := append(testRecords(), Record{Kind: KindSubstBid, User: 8, Set: []core.OptID{1, 2},
 		Start: 2, End: 3, Values: []econ.Money{econ.FromCents(150), 0}})
 	const image = "f0bbed88 shard additive 3 0 1 1:10000000\n" +
-		"7eb3172e abid 7 1 1 2 x6 4 4\n" +
+		"42434be0 a6 7 1 1 4 4\n" +
 		"88d0c5bf adv\n" +
 		"41c6724d close\n" +
-		"a18c133b sbid 8 1,2 2 3 x5 15 0\n"
+		"add237b8 s5 8 1,2 2 15 0\n"
 	var m MemLog
 	appendAll(t, NewJournal(&m), recs)
 	if got := m.Bytes(); string(got) != image {
@@ -392,34 +392,39 @@ func TestJournalGolden(t *testing.T) {
 		}
 	}
 
-	// Lines away from the start of a journal: an empty substitute set,
-	// extreme money, negative ids and costs, the widest sequence, and
-	// value scales from the largest to ones that would not shorten
-	// the line.
+	// Lines away from the start of a journal: an empty substitute set
+	// with all-zero values, extreme money, negative ids and costs, the
+	// widest sequence, the last start slot, and value scales from the
+	// largest to 1.
 	for _, c := range []struct {
 		rec  Record
 		line string
 	}{
-		{Record{Seq: 4711, Kind: KindSubstBid, User: 3, Start: 1, End: 1},
-			"93590bbe sbid 3 - 1 1\n"},
-		{Record{Seq: math.MaxUint64, Kind: KindAdditiveBid, User: -2, Opt: 5,
+		{Record{Seq: 4711, Kind: KindSubstBid, User: 3, Start: 1, End: 1, Values: []econ.Money{0}},
+			"ada66b23 s 3 - 1 0\n"},
+		{Record{Seq: math.MaxUint64, Kind: KindAdditiveBid, User: -2, Opt: 5, End: 1,
 			Values: []econ.Money{math.MinInt64, math.MaxInt64}},
-			"a2669d5e abid -2 5 0 0 -9223372036854775808 9223372036854775807\n"},
+			"9d17f921 a -2 5 0 -9223372036854775808 9223372036854775807\n"},
 		{Record{Seq: 10, Kind: KindShardConfig, Game: "substitutive", Horizon: 400, Shard: 3, Shards: 8,
 			Opts: []OptCost{{1, 5}, {2, -1}, {3, 0}}},
 			"b1aaf16e shard substitutive 400 3 8 1:5 2:-1 3:0\n"},
 		{Record{Seq: 12, Kind: KindAdditiveBid, User: 1, Opt: 2, Start: 3, End: 5,
 			Values: []econ.Money{9e18, -1e18, 0}},
-			"fd5c29ce abid 1 2 3 5 x18 9 -1 0\n"},
+			"fa5d081a a18 1 2 3 9 -1 0\n"},
 		{Record{Seq: 13, Kind: KindAdditiveBid, User: 4, Opt: 1, Start: 6, End: 7,
 			Values: []econ.Money{1000, 0}},
-			"231bc297 abid 4 1 6 7 1000 0\n"},
+			"9e6fd4b0 a3 4 1 6 1 0\n"},
 		{Record{Seq: 14, Kind: KindAdditiveBid, User: 12342, Opt: 3, Start: 3, End: 3,
 			Values: []econ.Money{econ.FromCents(2)}},
-			"ad27c7e5 abid 12342 3 3 3 x4 2\n"},
+			"1d3d0e0c a4 12342 3 3 2\n"},
 		{Record{Seq: 15, Kind: KindSubstBid, User: 5, Set: []core.OptID{2, 4}, Start: 1, End: 2,
 			Values: []econ.Money{econ.FromCents(-17), econ.FromCents(-4)}},
-			"e2ff028a sbid 5 2,4 1 2 x4 -17 -4\n"},
+			"7b82b9af s4 5 2,4 1 -17 -4\n"},
+		{Record{Seq: 16, Kind: KindAdditiveBid, User: 1, Opt: 1, Start: math.MaxInt64, End: math.MaxInt64,
+			Values: []econ.Money{5}},
+			"722f513d a 1 1 9223372036854775807 5\n"},
+		{Record{Seq: 17, Kind: KindAdditiveBid, User: 1, Opt: 1, Start: 2, End: 2, Values: []econ.Money{150}},
+			"a3936e89 a1 1 1 2 15\n"},
 	} {
 		if got := frameRecord(t, c.rec); string(got) != c.line {
 			t.Fatalf("%s record at seq %d:\n got %q\nwant %q", c.rec.Kind, c.rec.Seq, got, c.line)
@@ -449,17 +454,23 @@ func TestJournalRefusesUnencodableRecord(t *testing.T) {
 	spaced, newline, empty, control := cfg, cfg, cfg, cfg
 	spaced.Game, newline.Game, empty.Game, control.Game = "two words", "a\nb", "", "a\tb"
 	for name, rec := range map[string]Record{
-		"unknown kind":        {Kind: "bogus"},
-		"game with space":     spaced,
-		"game with newline":   newline,
-		"empty game":          empty,
-		"game with control":   control,
-		"abid with set":       {Kind: KindAdditiveBid, User: 1, Set: []core.OptID{1}},
-		"sbid with opt":       {Kind: KindSubstBid, User: 1, Opt: 2},
-		"adv with user":       {Kind: KindAdvanceSlot, User: 1},
-		"close with values":   {Kind: KindClosePeriod, Values: []econ.Money{1}},
-		"shard with bid end":  {Kind: KindShardConfig, Game: "additive", End: 1},
-		"shard with user set": {Kind: KindShardConfig, Game: "additive", User: 4},
+		"unknown kind":         {Kind: "bogus"},
+		"game with space":      spaced,
+		"game with newline":    newline,
+		"empty game":           empty,
+		"game with control":    control,
+		"abid with set":        {Kind: KindAdditiveBid, User: 1, Set: []core.OptID{1}},
+		"sbid with opt":        {Kind: KindSubstBid, User: 1, Opt: 2},
+		"adv with user":        {Kind: KindAdvanceSlot, User: 1},
+		"close with values":    {Kind: KindClosePeriod, Values: []econ.Money{1}},
+		"shard with bid end":   {Kind: KindShardConfig, Game: "additive", End: 1},
+		"shard with user set":  {Kind: KindShardConfig, Game: "additive", User: 4},
+		"abid past its values": {Kind: KindAdditiveBid, User: 1, Opt: 1, Start: 1, End: 2, Values: []econ.Money{1}},
+		"sbid short of values": {Kind: KindSubstBid, User: 1, Start: 1, End: 1, Values: []econ.Money{1, 2}},
+		"abid with no values":  {Kind: KindAdditiveBid, User: 1, Opt: 1, Start: 1, End: 1},
+		"abid ending past the last slot": {Kind: KindAdditiveBid, User: 1, Opt: 1, Start: math.MaxInt64,
+			End: math.MinInt64, Values: []econ.Money{1, 2}},
+		"sbid ending before the first slot": {Kind: KindSubstBid, User: 1, Start: math.MinInt64, End: math.MaxInt64},
 	} {
 		var m MemLog
 		j := NewJournal(&m)
@@ -571,5 +582,26 @@ func TestOpenFileLogRefusesUnscaledJournal(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || !torn || len(recs) != 1 || fi.Size() != int64(bid) {
 			t.Fatalf("%s bid line: %d records, torn=%v, stat %v %v; want 1, true, truncated to %d", name, len(recs), torn, fi, err, bid)
 		}
+	}
+}
+
+// explicitEndJournal is a journal as the text codec wrote it before a
+// bid's end slot was implied by its value count: bid lines open with
+// "abid", write the end slot, and scale values behind an "x<e>" token.
+// Every line's checksum verifies at its sequence number.
+const explicitEndJournal = "f0bbed88 shard additive 3 0 1 1:10000000\n" +
+	"62cf9679 abid 7 1 1 2 x4 17 4\n" +
+	"88d0c5bf adv\n" +
+	"ee78c445 abid 9 1 2 2 x4 11\n" +
+	"8a9aa1e8 close\n"
+
+// TestOpenFileLogRefusesExplicitEndJournal: bid lines that write their
+// end slot are intact records of a retired format, not a torn tail.
+// OpenFileLog refuses the journal with ErrJournalFormat and leaves it
+// byte-identical, whole or torn after its first such line.
+func TestOpenFileLogRefusesExplicitEndJournal(t *testing.T) {
+	dir := t.TempDir()
+	for _, image := range []string{explicitEndJournal, explicitEndJournal[:len(explicitEndJournal)-20]} {
+		requireFormatRefused(t, filepath.Join(dir, "explicit-end.journal"), image)
 	}
 }

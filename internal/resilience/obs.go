@@ -4,8 +4,8 @@ package resilience
 // on: each shard's outcome counters are the tier's one ledger, which
 // ShardStats reads. Export is opt-in: pass an *obs.Registry in
 // ShardedConfig.Obs (to a fresh or a recovered tier) and the tier
-// registers the metrics below in it; leave it nil and the counters live
-// in a private registry while every other hook is a nil-receiver no-op
+// registers the metrics below in it; leave it nil and each shard keeps
+// its counters to itself while every other hook is a nil-receiver no-op
 // (see internal/obs). The metrics are bookkeeping only — they never
 // change admission decisions, settlement order, or a single journal
 // byte (property-tested in obs_test.go).
@@ -64,22 +64,23 @@ type shardMetrics struct {
 }
 
 // newShardMetrics registers shard i's metrics in reg. With reg nil the
-// outcome counters go to a private registry, because they are the
-// shard's accounting either way; only the gauge is dropped.
+// outcome counters are the shard's own, because they are its accounting
+// either way; only the gauge is dropped.
 func newShardMetrics(reg *obs.Registry, i int) shardMetrics {
-	ledger := reg
-	if ledger == nil {
-		ledger = obs.NewRegistry()
+	if reg == nil {
+		c := new([7]obs.Counter)
+		return shardMetrics{accepted: &c[0], rejected: &c[1], overloaded: &c[2], readOnly: &c[3],
+			unavailable: &c[4], settled: &c[5], wedged: &c[6]}
 	}
 	prefix := fmt.Sprintf("shard%d.", i)
 	return shardMetrics{
-		accepted:    ledger.Counter(prefix + "accepted"),
-		rejected:    ledger.Counter(prefix + "rejected"),
-		overloaded:  ledger.Counter(prefix + "overloaded"),
-		readOnly:    ledger.Counter(prefix + "read_only"),
-		unavailable: ledger.Counter(prefix + "unavailable"),
-		settled:     ledger.Counter(prefix + "settled"),
-		wedged:      ledger.Counter(prefix + "wedged"),
+		accepted:    reg.Counter(prefix + "accepted"),
+		rejected:    reg.Counter(prefix + "rejected"),
+		overloaded:  reg.Counter(prefix + "overloaded"),
+		readOnly:    reg.Counter(prefix + "read_only"),
+		unavailable: reg.Counter(prefix + "unavailable"),
+		settled:     reg.Counter(prefix + "settled"),
+		wedged:      reg.Counter(prefix + "wedged"),
 		batchHigh:   reg.MaxGauge(prefix + "batch_highwater"),
 	}
 }
@@ -91,10 +92,13 @@ type tierMetrics struct {
 	advanceNs *obs.Histogram
 }
 
-// newTierMetrics registers the tier metrics for a tier of n shards:
-// tier.<class> as a sum of the n shard counters, and the settlement
-// metrics.
+// newTierMetrics registers the tier metrics for a tier of n shards in
+// reg: tier.<class> as a sum of the n shard counters, and the
+// settlement metrics. With reg nil there is nothing to register.
 func newTierMetrics(reg *obs.Registry, n int) tierMetrics {
+	if reg == nil {
+		return tierMetrics{}
+	}
 	for _, c := range []string{"accepted", "rejected", "overloaded", "read_only", "unavailable", "settled", "wedged"} {
 		parts := make([]string, n)
 		for i := range parts {

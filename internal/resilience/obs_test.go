@@ -421,3 +421,38 @@ func TestShardedTierSumsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedOpenAllocs pins what opening an unexported tier allocates:
+// four shard hosts over MemLogs and the router over them, at the three
+// benchmark workloads' shapes. Without a registry the router formats no
+// metric names, and each shard keeps its seven outcome counters in one
+// allocation.
+func TestShardedOpenAllocs(t *testing.T) {
+	for _, c := range []struct {
+		kind    sharedopt.GameKind
+		opts    int
+		horizon core.Slot
+		max     float64
+	}{{sharedopt.Additive, 8, 12, 147}, {sharedopt.Additive, 16, 400, 229}, {sharedopt.Substitutive, 12, 400, 169}} {
+		catalog := make([]sharedopt.Optimization, c.opts)
+		for i := range catalog {
+			catalog[i] = sharedopt.Optimization{ID: core.OptID(i + 1), Cost: 2 * econ.Dollar}
+		}
+		got := testing.AllocsPerRun(20, func() {
+			links := make([]ShardTransport, 4)
+			for i := range links {
+				h, err := NewShardHost(c.kind, catalog, c.horizon, i, len(links), new(MemLog))
+				if err != nil {
+					t.Fatal(err)
+				}
+				links[i] = h
+			}
+			if _, err := NewShardedServiceOver(c.kind, catalog, c.horizon, links, ShardedConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%v tier of %d optimizations: opening allocates %.0f times, want at most %.0f", c.kind, c.opts, got, c.max)
+		}
+	}
+}

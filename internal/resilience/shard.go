@@ -529,14 +529,20 @@ func (s *ShardedService) submit(u core.UserID, p pendingBid, rec Record) error {
 			sh.om.unavailable.Inc()
 			// Fate unknown: the shard may have journaled the bid before
 			// the reply was lost. Remember it so settlement resolves it
-			// by idempotent resubmission before the next marker.
-			sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digestOf(rec)})
+			// by idempotent resubmission before the next marker. A
+			// record the journal line cannot carry was never journaled,
+			// so it has nothing to resolve.
+			if canonical, cerr := rec.canonical(); cerr == nil {
+				sh.indoubt = append(sh.indoubt, indoubtBid{p: p, rec: rec, fp: digest(canonical)})
+			}
 			return fmt.Errorf("resilience: shard %d: %w", i, err)
 		default:
 			sh.om.rejected.Inc()
 			if len(sh.indoubt) > 0 {
 				// Definitively rejected: nothing durable to resolve.
-				sh.dropIndoubtLocked(digestOf(rec))
+				if canonical, cerr := rec.canonical(); cerr == nil {
+					sh.dropIndoubtLocked(digest(canonical))
+				}
 			}
 			return err
 		}

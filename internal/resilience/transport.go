@@ -223,7 +223,8 @@ func (h *ShardHost) replay(rec Record) error {
 		}
 		// A live host never journals a digest twice; if a damaged journal
 		// does, duplicates keep acknowledging the first record.
-		key := digestOf(rec)
+		canonical, _ := rec.canonical() // nil error: parsePayload re-encoded it
+		key := digest(canonical)
 		if _, dup := h.seen.Get(key); !dup {
 			h.seen.Put(key, rec.Seq)
 		}
@@ -371,6 +372,12 @@ func (h *ShardHost) enqueueBid(rec Record) (SubmitResult, error) {
 	}
 	canonical, err := rec.canonical()
 	if err != nil {
+		// Only a bid whose values do not fill its interval fails to
+		// encode here, and admit refuses it too, with the error a plain
+		// sharedopt.Service gives and after the checks it makes first.
+		if aerr := h.admit(rec); aerr != nil {
+			err = aerr
+		}
 		return SubmitResult{}, err
 	}
 	key := digest(canonical)
